@@ -344,6 +344,9 @@ type Sim struct {
 	snapEvery  float64
 	lastArrive float64
 	events     int
+
+	// rec, when set by ProbeContext, receives every server opening.
+	rec *Probe
 }
 
 // NewSim validates the cluster configuration and returns an empty
@@ -475,6 +478,9 @@ func (s *Sim) Step(vm trace.VM) error {
 			audit.Failf(s.chk, "alloc", "placed-after-departure",
 				"VM %d placed at t=%g after its departure t=%g", vm.ID, vm.Arrive, vm.Depart)
 		}
+	}
+	if s.rec != nil && placed == f.frontier {
+		s.recordOpening(vm, placedGreen, cores, mem)
 	}
 	touched := mem * vm.MaxMemFrac
 	f.place(placed, cores, mem, touched)

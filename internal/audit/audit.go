@@ -33,7 +33,8 @@
 //   - cluster/buffer: mixed-cluster capacity (and the buffered
 //     cluster's) covers the trace's peak concurrent demand, and the
 //     mixed cluster never keeps more baseline servers than the
-//     all-baseline right-sizing.
+//     all-baseline right-sizing, and every sizing probe answered from
+//     a replay's opening record agrees with a real replay.
 package audit
 
 import (

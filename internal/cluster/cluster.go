@@ -31,54 +31,15 @@ type Sizer struct {
 	// forwarded to every allocation simulation it runs. Nil falls back
 	// to the process default (audit.SetDefault).
 	Audit audit.Checker
-	// Shards > 1 replays simulations through the pool-sharded
-	// multi-pool pipeline (alloc.MultiConfig.Shards) with the green
-	// class as its single green pool. The one-pool multi replay is
-	// bit-identical to the single-pool simulator (the alloc
-	// differential suite proves it), so sharding never changes a
-	// sizing or packing answer. The sharded path reports violations to
-	// the process-default audit checker, not to Audit.
-	Shards int
 }
 
-// simulate replays the trace against nBase + nGreen servers, routing
-// through the sharded multi-pool pipeline when Shards asks for it.
-func (s *Sizer) simulate(ctx context.Context, tr trace.Trace, nBase, nGreen int, decide alloc.Decider) (alloc.Result, error) {
-	if s.Shards > 1 {
-		if decide == nil {
-			decide = alloc.AdoptNone
-		}
-		mres, err := alloc.SimulateMultiContext(ctx, tr, alloc.MultiConfig{
-			Base:           alloc.Pool{Class: s.Base, N: nBase},
-			Greens:         []alloc.Pool{{Class: s.Green, N: nGreen}},
-			Policy:         s.Policy,
-			PreferNonEmpty: true,
-			Shards:         s.Shards,
-		}, func(vm trace.VM) alloc.MultiDecision {
-			d := decide(vm)
-			scale := 0.0
-			if d.Adopt {
-				scale = d.Scale
-			}
-			return alloc.MultiDecision{Scales: []float64{scale}}
-		})
-		if err != nil {
-			return alloc.Result{}, err
-		}
-		return alloc.Result{
-			Placed:    mres.Placed,
-			Rejected:  mres.Rejected,
-			Base:      mres.Base,
-			Green:     mres.Green[0],
-			Snapshots: mres.Snapshots,
-		}, nil
-	}
-	return alloc.SimulateContext(ctx, tr, alloc.Config{
+func (s *Sizer) config(nBase, nGreen int) alloc.Config {
+	return alloc.Config{
 		Base: s.Base, NBase: nBase,
 		Green: s.Green, NGreen: nGreen,
 		Policy: s.Policy, PreferNonEmpty: true,
 		Audit: s.Audit,
-	}, decide)
+	}
 }
 
 func (s *Sizer) maxServers(tr trace.Trace) int {
@@ -97,20 +58,35 @@ func (s *Sizer) maxServers(tr trace.Trace) int {
 	return 3*n + 8
 }
 
-func (s *Sizer) hosts(ctx context.Context, tr trace.Trace, nBase, nGreen int) (bool, error) {
+// probe replays the trace against nBase + nGreen servers and records
+// the replay's server openings (alloc.Probe). Unaudited, it stops at
+// the first rejection.
+func (s *Sizer) probe(ctx context.Context, tr trace.Trace, nBase, nGreen int) (alloc.Probe, error) {
 	if nBase+nGreen == 0 {
-		return len(tr.VMs) == 0, nil
+		return alloc.Probe{Hosts: len(tr.VMs) == 0}, nil
 	}
-	res, err := s.simulate(ctx, tr, nBase, nGreen, s.Decide)
-	if err != nil {
-		return false, err
+	p, err := alloc.ProbeContext(ctx, tr, s.config(nBase, nGreen), s.Decide)
+	if testTamper != nil {
+		testTamper(&p)
 	}
-	return res.Rejected == 0, nil
+	return p, err
 }
 
-// searchMin finds the smallest n in [0, hi] for which ok(n) holds,
-// assuming ok is (approximately) monotone; it verifies the result and
-// walks upward if fragmentation breaks monotonicity at the boundary.
+func (s *Sizer) hosts(ctx context.Context, tr trace.Trace, nBase, nGreen int) (bool, error) {
+	p, err := s.probe(ctx, tr, nBase, nGreen)
+	return p.Hosts, err
+}
+
+// testTamper, when non-nil, edits every probe record before the search
+// reads it. The canary test uses it to prove a wrong record is caught;
+// never set it outside a test.
+var testTamper func(*alloc.Probe)
+
+// searchMin binary-searches [0, hi] for an n with ok(n) and, when
+// n > 0, !ok(n-1): the smallest such n when ok is monotone, which
+// fragmentation does not guarantee. The probe sequence depends only on
+// ok's answers, so answering probes from a record (searchRecorded)
+// leaves the result unchanged.
 func searchMin(hi int, ok func(int) (bool, error)) (int, error) {
 	if fits, err := ok(hi); err != nil {
 		return 0, err
@@ -133,6 +109,36 @@ func searchMin(hi int, ok func(int) (bool, error)) (int, error) {
 	return lo, nil
 }
 
+// searchRecorded is searchMin over one pool's size, where top is the
+// replay at the search's upper bound hi. Probes the record answers
+// (see alloc.Probe for why the answers are exact) skip their replay;
+// the rest run hosts. When Audit resolves to a checker, every
+// record-answered probe is replayed too and any disagreement is
+// reported as a cluster/probe-record violation.
+func (s *Sizer) searchRecorded(hi int, top alloc.Probe, answer func(n int) (hosts, known bool), hosts func(n int) (bool, error)) (int, error) {
+	chk := audit.Resolve(s.Audit)
+	return searchMin(hi, func(n int) (bool, error) {
+		if n == hi { // top is this probe's replay
+			return top.Hosts, nil
+		}
+		fits, known := answer(n)
+		if !known {
+			return hosts(n)
+		}
+		if chk != nil {
+			real, err := hosts(n)
+			if err != nil {
+				return false, err
+			}
+			if real != fits {
+				audit.Failf(chk, "cluster", "probe-record",
+					"pool size %d: the opening record says hosts=%v, a replay says %v", n, fits, real)
+			}
+		}
+		return fits, nil
+	})
+}
+
 // RightSizeBaseline returns the minimum number of baseline servers that
 // host the trace with no rejections (the paper's first sizing step).
 func (s *Sizer) RightSizeBaseline(tr trace.Trace) (int, error) {
@@ -144,7 +150,12 @@ func (s *Sizer) RightSizeBaselineContext(ctx context.Context, tr trace.Trace) (i
 	if err := tr.Validate(); err != nil {
 		return 0, err
 	}
-	return searchMin(s.maxServers(tr), func(n int) (bool, error) {
+	hi := s.maxServers(tr)
+	top, err := s.probe(ctx, tr, hi, 0)
+	if err != nil {
+		return 0, err
+	}
+	return s.searchRecorded(hi, top, top.BaseHosts, func(n int) (bool, error) {
 		return s.hosts(ctx, tr, n, 0)
 	})
 }
@@ -176,15 +187,32 @@ func (s *Sizer) MixedSizeContext(ctx context.Context, tr trace.Trace) (Mix, erro
 		m.NBase = n0
 		return m, nil
 	}
-	// Plenty of green capacity while minimising baseline count.
+	// Plenty of green capacity while minimising baseline count. The
+	// green pool's offered stream does not depend on the baseline
+	// size (adopters try green first), so one replay at the upper
+	// bound answers the baseline probes.
 	greenCap := s.maxServers(tr)
-	m.NBase, err = searchMin(n0, func(n int) (bool, error) {
+	top, err := s.probe(ctx, tr, n0, greenCap)
+	if err != nil {
+		return m, err
+	}
+	m.NBase, err = s.searchRecorded(n0, top, top.BaseHosts, func(n int) (bool, error) {
 		return s.hosts(ctx, tr, n, greenCap)
 	})
 	if err != nil {
 		return m, err
 	}
-	m.NGreen, err = searchMin(greenCap, func(n int) (bool, error) {
+	// The upper-bound replay still describes the cluster with NBase
+	// baseline servers if it never opened more; otherwise replay once
+	// at (NBase, greenCap).
+	if m.NBase < len(top.BaseOpened) {
+		if top, err = s.probe(ctx, tr, m.NBase, greenCap); err != nil {
+			return m, err
+		}
+	}
+	m.NGreen, err = s.searchRecorded(greenCap, top, func(n int) (bool, bool) {
+		return top.GreenHosts(m.NBase, n)
+	}, func(n int) (bool, error) {
 		return s.hosts(ctx, tr, m.NBase, n)
 	})
 	if err != nil {
@@ -284,12 +312,12 @@ func (s *Sizer) ComparePackingContext(ctx context.Context, tr trace.Trace) (Pack
 		return pc, err
 	}
 	pc.Mix = m
-	baseRes, err := s.simulate(ctx, tr, m.BaselineOnly, 0, alloc.AdoptNone)
+	baseRes, err := alloc.SimulateContext(ctx, tr, s.config(m.BaselineOnly, 0), alloc.AdoptNone)
 	if err != nil {
 		return pc, err
 	}
 	pc.Baseline = baseRes.Base
-	mixRes, err := s.simulate(ctx, tr, m.NBase, m.NGreen, s.Decide)
+	mixRes, err := alloc.SimulateContext(ctx, tr, s.config(m.NBase, m.NGreen), s.Decide)
 	if err != nil {
 		return pc, err
 	}

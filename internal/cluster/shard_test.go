@@ -1,8 +1,8 @@
 package cluster
 
-// Shard-identity tests for the sizing layer: routing replays through
-// the pool-sharded pipeline (Sizer.Shards / MultiSizer.Shards) must
-// leave every sizing and packing answer exactly unchanged.
+// Shard-identity test for the multi-SKU sizing layer: routing replays
+// through the pool-sharded pipeline (MultiSizer.Shards) must leave
+// every sizing answer exactly unchanged.
 
 import (
 	"testing"
@@ -10,24 +10,6 @@ import (
 	"github.com/greensku/gsf/internal/alloc"
 	"github.com/greensku/gsf/internal/trace"
 )
-
-func TestSizerShardedMatchesUnsharded(t *testing.T) {
-	tr := testTrace(t, 31)
-	plain := &Sizer{Base: baseClass(), Green: greenClass(), Policy: alloc.BestFit, Decide: alloc.AdoptAll}
-	sharded := &Sizer{Base: baseClass(), Green: greenClass(), Policy: alloc.BestFit, Decide: alloc.AdoptAll, Shards: 2}
-
-	pp, err := plain.ComparePacking(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := sharded.ComparePacking(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pp != sp {
-		t.Fatalf("sharded packing comparison differs:\nplain   %+v\nsharded %+v", pp, sp)
-	}
-}
 
 func TestMultiSizerShardedMatchesUnsharded(t *testing.T) {
 	tr := testTrace(t, 32)

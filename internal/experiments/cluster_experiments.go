@@ -83,11 +83,6 @@ type PackingOptions struct {
 	Traces  int    // how many of the 35 production-like traces to use
 	Dataset string // carbon dataset driving adoption decisions
 	Green   hw.SKU
-	// Shards > 1 replays every sizing and packing simulation through
-	// the pool-sharded pipeline (alloc.MultiConfig.Shards). The output
-	// is byte-identical to the unsharded study —
-	// TestPackingShardedByteIdentical proves it.
-	Shards int
 }
 
 // DefaultPackingOptions uses all 35 traces and GreenSKU-Full, as in
@@ -131,7 +126,6 @@ func PackingContext(ctx context.Context, opt PackingOptions) (PackingResult, err
 	if err != nil {
 		return out, err
 	}
-	sizer.Shards = opt.Shards
 	pcs, err := engine.Collect(engine.Map(ctx, 0, len(suite),
 		func(ctx context.Context, i int) (cluster.PackingComparison, error) {
 			return sizer.ComparePackingContext(ctx, suite[i])

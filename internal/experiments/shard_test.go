@@ -1,10 +1,10 @@
 package experiments
 
-// Byte-identity proofs for the sharded replay option: routing the
-// packing study and the allocation benchmark through the pool-sharded
-// multi-pool pipeline (Shards > 1) must change nothing but wall-clock
-// time. Timing fields are zeroed before comparing; everything else is
-// serialized and compared byte for byte.
+// Byte-identity proof for the sharded replay option: routing the
+// allocation benchmark through the pool-sharded multi-pool pipeline
+// (Shards > 1) must change nothing but wall-clock time. Timing fields
+// are zeroed before comparing; everything else is serialized and
+// compared byte for byte.
 
 import (
 	"bytes"
@@ -53,26 +53,5 @@ func TestAllocSweepBenchShardedByteIdentical(t *testing.T) {
 	pb, sb := marshalForDiff(t, plain), marshalForDiff(t, shardRes)
 	if !bytes.Equal(pb, sb) {
 		t.Fatalf("sharded alloc bench output differs:\nplain   %s\nsharded %s", pb, sb)
-	}
-}
-
-func TestPackingShardedByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("packing study is slow; covered by the full run")
-	}
-	opt := DefaultPackingOptions()
-	opt.Traces = 2
-	plain, err := Packing(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Shards = 2
-	sharded, err := Packing(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, sb := marshalForDiff(t, plain), marshalForDiff(t, sharded)
-	if !bytes.Equal(pb, sb) {
-		t.Fatalf("sharded packing output differs:\nplain   %s\nsharded %s", pb, sb)
 	}
 }
