@@ -2,6 +2,7 @@ package design
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"github.com/greensku/gsf/internal/carbon"
 	"github.com/greensku/gsf/internal/carbondata"
 	"github.com/greensku/gsf/internal/hw"
+	"github.com/greensku/gsf/internal/perf"
 	"github.com/greensku/gsf/internal/search"
 	"github.com/greensku/gsf/internal/units"
 )
@@ -199,5 +201,33 @@ func TestCandidatesEnumerationOrderAndNames(t *testing.T) {
 	}
 	if !gpuSeen {
 		t.Error("no GPU-bearing candidate survived feasibility")
+	}
+}
+
+// TestProfileKeyMatchesPerCallFormat pins the memo keys byte for byte
+// to the format that re-rendered the options on every call, with the
+// normalised-out fields set so they must still vanish from the key.
+func TestProfileKeyMatchesPerCallFormat(t *testing.T) {
+	m, err := carbon.New(carbondata.OpenSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	popt := DefaultPerfOptions()
+	popt.Base.Workers = 3
+	popt.Base.DisableSLOMemo = true
+	popt.Base.FluidApprox = true
+	ev := NewEvaluator(m, 0, popt)
+	norm := popt
+	norm.Base.Workers = 0
+	norm.Base.DisableSLOMemo = false
+	for _, sku := range []hw.SKU{hw.BaselineGen3(), hw.GreenSKUFull()} {
+		p := perf.ProfileOf(sku, sku.HasCXL())
+		for _, kind := range [][2]string{{"score", ""}, {"knee", "memcached"}} {
+			want := fmt.Sprintf("%s|%s|%v|%v|%v|%v|%#v", kind[0], kind[1],
+				p.CPUScore, p.LLCPerCoreMiB, p.BWPerCoreGBs, p.MemLatencyNs, norm)
+			if got := ev.profileKey(kind[0], kind[1], p); got != want {
+				t.Fatalf("%s %s key:\n got %q\nwant %q", sku.Name, kind[0], got, want)
+			}
+		}
 	}
 }

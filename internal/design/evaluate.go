@@ -59,6 +59,9 @@ type Evaluator struct {
 	baseline hw.SKU
 	scores   *engine.Cache[float64]
 	knees    *engine.Cache[queueing.Knee]
+	// optKey is Perf formatted for memo keys, once per evaluator;
+	// Perf must not change after NewEvaluator.
+	optKey string
 }
 
 // NewEvaluator returns an evaluator over the model's dataset. A zero
@@ -74,6 +77,7 @@ func NewEvaluator(m *carbon.Model, ci units.CarbonIntensity, popt PerfOptions) *
 		baseline: hw.BaselineGen3(),
 		scores:   engine.NewCache[float64](perfScoreCacheEntries),
 		knees:    engine.NewCache[queueing.Knee](perfScoreCacheEntries),
+		optKey:   perfOptionsKey(popt),
 	}
 }
 
@@ -98,16 +102,20 @@ func (e *Evaluator) Evaluate(ctx context.Context, sku hw.SKU) (Point, error) {
 	}}, nil
 }
 
-// profileKey identifies a performance profile minus its SKU name — the
-// fields ServiceTime actually reads — plus everything that changes a
-// simulated value. Workers and DisableSLOMemo are normalised out: they
-// never change an answer.
-func (e *Evaluator) profileKey(kind string, a string, p perf.Profile) string {
-	opt := e.Perf
+// perfOptionsKey formats everything in opt that changes a simulated
+// value. Workers and DisableSLOMemo are normalised out: they never
+// change an answer.
+func perfOptionsKey(opt PerfOptions) string {
 	opt.Base.Workers = 0
 	opt.Base.DisableSLOMemo = false
-	return fmt.Sprintf("%s|%s|%v|%v|%v|%v|%#v", kind, a,
-		p.CPUScore, p.LLCPerCoreMiB, p.BWPerCoreGBs, p.MemLatencyNs, opt)
+	return fmt.Sprintf("%#v", opt)
+}
+
+// profileKey identifies a performance profile minus its SKU name — the
+// fields ServiceTime actually reads — plus the evaluator's options.
+func (e *Evaluator) profileKey(kind string, a string, p perf.Profile) string {
+	return fmt.Sprintf("%s|%s|%v|%v|%v|%v|%s", kind, a,
+		p.CPUScore, p.LLCPerCoreMiB, p.BWPerCoreGBs, p.MemLatencyNs, e.optKey)
 }
 
 // PerfScore is the portfolio per-core capacity of the SKU relative to

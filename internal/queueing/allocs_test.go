@@ -6,7 +6,10 @@ package queueing
 // siftDown must not. AllocsPerRun pins it, and an ordering test keeps
 // the sift honest against the heap invariant auditHeap checks.
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestServerHeapZeroAllocs(t *testing.T) {
 	h := make(serverHeap, 64)
@@ -39,5 +42,28 @@ func TestServerHeapSiftDownKeepsMinHeap(t *testing.T) {
 				t.Fatalf("min-heap violated after adding %g: parent %g > child %g", s, h[parent], h[i])
 			}
 		}
+	}
+}
+
+// TestKneeSearchColumnsFromPool pins that a steady-state knee search
+// takes its random columns and both latency buffers from their pools.
+// What it does allocate is one server heap per probe plus the prober,
+// its RNG and the prepared sampler; fresh columns would add three
+// allocations per search, fresh latency buffers two each.
+func TestKneeSearchColumnsFromPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops items at random")
+	}
+	withoutAudit(t)
+	cfg := Config{Servers: 8, Service: LogNormal{0.004, 1.5}, Requests: 5000, Seed: 3}
+	var k Knee
+	avg := testing.AllocsPerRun(20, func() {
+		var err error
+		if k, err = KneeSearch(context.Background(), cfg, 0.5, 1.3, 0.02); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(k.Evals + 3); avg > want {
+		t.Errorf("steady-state knee search allocates %.0f times for %d probes, want at most %.0f", avg, k.Evals, want)
 	}
 }

@@ -21,7 +21,9 @@ package queueing
 //     (stats.TestSummarizeSelectMatchesSummarize).
 //
 // Context polling and audit sweeps happen at batch boundaries — the
-// same i&4095 == 0 cadence the scalar loop uses.
+// same i&4095 == 0 cadence the scalar loop uses. A knee search fills
+// its batches from columns drawn once per search instead (see
+// columns); the dispatch loops are the same.
 
 import (
 	"context"
@@ -56,19 +58,62 @@ var eventBufPool = sync.Pool{New: func() any { return new(eventBuf) }}
 
 // runBatched is the default event loop behind Run/RunContext.
 func runBatched(ctx context.Context, cfg Config) (Result, error) {
-	r := stats.NewRNG(cfg.Seed)
 	chk := audit.Resolve(cfg.Audit)
-	var sampler Sampler
-	if !cfg.ReferenceSampling {
-		sampler = cfg.Service.Prepare(false)
-	}
-
 	buf := getLatencyBuf(cfg.Requests)
-	latencies := *buf
-	defer func() {
-		*buf = latencies[:0]
-		latencyPool.Put(buf)
-	}()
+	defer latencyPool.Put(buf)
+	if err := sweep(ctx, cfg, chk, nil, buf); err != nil {
+		return Result{}, err
+	}
+	return summarize(cfg, chk, *buf), nil
+}
+
+// columns holds one knee search's common random numbers: the
+// unit-mean arrival gap and the service time of every request a probe
+// simulates. Probes differ only in arrival rate, and the fillers scale
+// a unit draw x into meanIA*x, so a probe's gap is meanIA*unit[i]
+// (1*x == x exactly) and its service times are the column itself.
+type columns struct {
+	unit, svc []float64
+}
+
+// columnsPool recycles knee-search columns, stored by pointer like the
+// latency buffers.
+var columnsPool sync.Pool
+
+// getColumns returns columns of length n, reusing pooled storage.
+func getColumns(n int) *columns {
+	c, _ := columnsPool.Get().(*columns)
+	if c == nil || cap(c.unit) < n {
+		c = &columns{unit: make([]float64, n), svc: make([]float64, n)}
+	}
+	c.unit, c.svc = c.unit[:n], c.svc[:n]
+	return c
+}
+
+// drawColumns returns columns filled from cfg's seed by the same
+// fillers, in the same draw order, that runBatched uses, at mean
+// arrival gap 1. cfg.Requests and cfg.Warmup must hold their defaults.
+func drawColumns(cfg Config) *columns {
+	c := getColumns(cfg.Warmup + cfg.Requests)
+	fillEvents(cfg, cfg.Service.Prepare(false), stats.NewRNG(cfg.Seed), c.unit, c.svc, 1)
+	return c
+}
+
+// sweep runs the dispatch loop and appends each measured request's
+// latency, in arrival order, to the empty buffer *lat. With cols nil it
+// draws the events from cfg.Seed batch by batch; otherwise it reads
+// them from cols, scaled to cfg.ArrivalRate. Only the fill step
+// differs: both feed the same dispatch loops bit-identical events.
+func sweep(ctx context.Context, cfg Config, chk audit.Checker, cols *columns, lat *[]float64) error {
+	var r *stats.RNG
+	var sampler Sampler
+	if cols == nil {
+		r = stats.NewRNG(cfg.Seed)
+		if !cfg.ReferenceSampling {
+			sampler = cfg.Service.Prepare(false)
+		}
+	}
+	latencies := (*lat)[:0]
 
 	total := cfg.Warmup + cfg.Requests
 	var free serverHeap
@@ -86,7 +131,7 @@ func runBatched(ctx context.Context, cfg Config) (Result, error) {
 	meanIA := 1 / cfg.ArrivalRate
 	for base := 0; base < total; base += eventBatch {
 		if err := ctx.Err(); err != nil {
-			return Result{}, err
+			return err
 		}
 		if chk != nil {
 			if cal != nil {
@@ -100,8 +145,16 @@ func runBatched(ctx context.Context, cfg Config) (Result, error) {
 			n = eventBatch
 		}
 		gaps, svc := eb.gaps[:n:n], eb.svc[:n:n]
-		fillEvents(cfg, sampler, r, gaps, svc, meanIA)
-
+		if cols == nil {
+			fillEvents(cfg, sampler, r, gaps, svc, meanIA)
+		} else {
+			// The product the filler computes for this gap; the
+			// conversion pins its rounding so it cannot fuse.
+			for k, u := range cols.unit[base : base+n] {
+				gaps[k] = float64(meanIA * u)
+			}
+			svc = cols.svc[base : base+n : base+n]
+		}
 		switch {
 		case chk == nil && cal != nil:
 			for k := 0; k < n; k++ {
@@ -163,16 +216,35 @@ func runBatched(ctx context.Context, cfg Config) (Result, error) {
 			}
 		}
 	}
+	*lat = latencies
+	return nil
+}
 
-	// Saturation signal: read in arrival order before SummarizeSelect
-	// partitions the buffer in place, exactly as the scalar loop reads
-	// it before Summarize sorts.
-	var head, tail float64
+// saturated reports the queue unstable: the offered load is at or
+// above capacity, or the measured window's tail latency grew past
+// three times its head — the signature of an unstable queue in a
+// finite run. latencies must be in arrival order.
+func saturated(cfg Config, latencies []float64) bool {
 	q := len(latencies) / 4
-	if q > 0 {
-		head = stats.Mean(latencies[:q])
-		tail = stats.Mean(latencies[len(latencies)-q:])
+	if q == 0 {
+		return false
 	}
+	head := stats.Mean(latencies[:q])
+	tail := stats.Mean(latencies[len(latencies)-q:])
+	return utilization(cfg) >= 1 || tail > 3*head
+}
+
+// utilization is the offered load over capacity: offered * E[S] / k.
+func utilization(cfg Config) float64 {
+	return cfg.ArrivalRate * cfg.Service.Mean() / float64(cfg.Servers)
+}
+
+// summarize computes a run's Result from its arrival-order latencies,
+// reading the saturation signal before SummarizeSelect partitions the
+// buffer in place, exactly as the scalar loop reads it before
+// Summarize sorts.
+func summarize(cfg Config, chk audit.Checker, latencies []float64) Result {
+	sat := saturated(cfg, latencies)
 	sum := stats.SummarizeSelect(latencies)
 	res := Result{
 		Offered:     cfg.ArrivalRate,
@@ -180,10 +252,8 @@ func runBatched(ctx context.Context, cfg Config) (Result, error) {
 		P95:         sum.P95,
 		P99:         sum.P99,
 		Mean:        sum.Mean,
-		Utilization: cfg.ArrivalRate * cfg.Service.Mean() / float64(cfg.Servers),
-	}
-	if q > 0 && (res.Utilization >= 1 || tail > 3*head) {
-		res.Saturated = true
+		Utilization: utilization(cfg),
+		Saturated:   sat,
 	}
 	if chk != nil {
 		if !(res.P50 <= res.P95+audit.SimTol) || !(res.P95 <= res.P99+audit.SimTol) {
@@ -191,7 +261,7 @@ func runBatched(ctx context.Context, cfg Config) (Result, error) {
 				"latency percentiles unordered: P50=%g P95=%g P99=%g", res.P50, res.P95, res.P99)
 		}
 	}
-	return res, nil
+	return res
 }
 
 // fillEvents fills one batch of arrival gaps and service times,

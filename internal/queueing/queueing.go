@@ -12,10 +12,11 @@
 // The kernel is built for sweep throughput: service distributions fold
 // their constants once per run (Prepare), samples come from ziggurat
 // fast paths unless Config.ReferenceSampling asks for the bit-exact
-// reference samplers, latency statistics come from a single sort of a
-// pooled buffer, and the sweep APIs (CurveContext, TrialsContext,
-// KneeSearch) fan out through the shared evaluation engine with
-// deterministic, index-slotted results.
+// reference samplers, latency percentiles come from quickselect over a
+// pooled buffer, and the sweep APIs (CurveContext, TrialsContext) fan
+// out through the shared evaluation engine with deterministic,
+// index-slotted results. KneeSearch draws its random columns once and
+// shares them across its probes (knee.go).
 package queueing
 
 import (
@@ -250,12 +251,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.Service == nil {
 		return Result{}, fmt.Errorf("queueing: no service distribution")
 	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 20000
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = cfg.Requests / 10
-	}
+	cfg = withDefaults(cfg)
 	if cfg.FluidApprox && !cfg.ReferenceEventLoop && !cfg.ReferenceSampling {
 		if res, ok := fluidResult(cfg); ok {
 			return res, nil
@@ -265,6 +261,18 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		return runBatched(ctx, cfg)
 	}
 	return runReference(ctx, cfg)
+}
+
+// withDefaults fills in the request counts RunContext uses when cfg
+// leaves them unset: 20000 measured requests after a 10% warmup.
+func withDefaults(cfg Config) Config {
+	if cfg.Requests <= 0 {
+		cfg.Requests = 20000
+	}
+	if cfg.Warmup <= 0 {
+		cfg.Warmup = cfg.Requests / 10
+	}
+	return cfg
 }
 
 // runReference is the scalar per-request event loop — the PR 5 kernel,
@@ -486,263 +494,4 @@ func CurveContext(ctx context.Context, cfg Config, loFrac, hiFrac float64, steps
 		return CurvePoint{QPS: r.Offered, P95: r.P95, Saturated: r.Saturated}, nil
 	})
 	return engine.Collect(res)
-}
-
-// Knee is the result of a KneeSearch: the saturation boundary of a
-// queue, bracketed to the requested resolution.
-type Knee struct {
-	// KneeFrac and KneeQPS are the lowest load observed saturated
-	// (as a fraction of theoretical capacity, and absolute).
-	KneeFrac float64
-	KneeQPS  float64
-	// StableFrac/StableQPS/StableP95 describe the highest load observed
-	// stable — the operating point just below the knee.
-	StableFrac float64
-	StableQPS  float64
-	StableP95  float64
-	// Found reports that the knee lies inside [loFrac, hiFrac]; false
-	// means the queue was still stable at hiFrac (KneeFrac is then
-	// meaningless and StableFrac == hiFrac).
-	Found bool
-	// Evals counts discrete-event simulation runs performed; the
-	// adaptive search needs O(log((hi-lo)/tol)) of them where a
-	// fixed-step sweep at the same resolution needs (hi-lo)/tol.
-	Evals int
-	// FluidEvals counts load points answered by the closed-form fluid
-	// model instead of simulation (Config.FluidApprox only). Fluid
-	// answers are restricted to bracket screening: every bisection
-	// probe and the returned stable/knee points are discrete.
-	FluidEvals int
-}
-
-// KneeSearch locates a queue's saturation knee by bracketing and
-// bisection instead of a fixed-step load sweep: it evaluates the two
-// endpoints, then halves the bracket until it is narrower than tolFrac
-// (of theoretical capacity). All evaluations reuse cfg.Seed, so the
-// runs differ only in offered load (common random numbers), and the
-// search is fully deterministic. Use it where only the knee is needed;
-// CurveContext still serves full-curve measurements.
-//
-// With Config.FluidApprox set, the search first narrows the bracket
-// around the analytic knee estimate and lets the fluid model answer the
-// far-from-saturation screening probe; every bisection probe and the
-// returned stable/knee points remain discrete-event simulations (a
-// fluid-screened stable endpoint is re-simulated before being
-// returned, and the search restarts fully discrete if the fluid screen
-// disagrees with simulation).
-func KneeSearch(ctx context.Context, cfg Config, loFrac, hiFrac, tolFrac float64) (Knee, error) {
-	if cfg.Servers <= 0 || cfg.Service == nil {
-		return Knee{}, fmt.Errorf("queueing: knee search needs positive servers and a service distribution")
-	}
-	if !(loFrac > 0) || !(hiFrac > loFrac) {
-		return Knee{}, fmt.Errorf("queueing: knee search needs 0 < loFrac < hiFrac, got [%v, %v]", loFrac, hiFrac)
-	}
-	if !(tolFrac > 0) {
-		return Knee{}, fmt.Errorf("queueing: knee search needs a positive tolerance, got %v", tolFrac)
-	}
-	if cfg.FluidApprox && !cfg.ReferenceEventLoop && !cfg.ReferenceSampling {
-		if k, ok, err := kneeSearchFluid(ctx, cfg, loFrac, hiFrac, tolFrac); ok || err != nil {
-			return k, err
-		}
-	}
-	return kneeSearchDiscrete(ctx, cfg, loFrac, hiFrac, tolFrac)
-}
-
-// kneeSearchDiscrete is the purely discrete-event bracketing search.
-func kneeSearchDiscrete(ctx context.Context, cfg Config, loFrac, hiFrac, tolFrac float64) (Knee, error) {
-	peak := Capacity(cfg.Servers, cfg.Service)
-	var k Knee
-	eval := func(frac float64) (Result, error) {
-		c := cfg
-		c.FluidApprox = false
-		c.ArrivalRate = frac * peak
-		k.Evals++
-		return RunContext(ctx, c)
-	}
-
-	lo, err := eval(loFrac)
-	if err != nil {
-		return Knee{}, err
-	}
-	if lo.Saturated {
-		// The whole bracket is past the knee; report its lower edge.
-		k.Found = true
-		k.KneeFrac, k.KneeQPS = loFrac, lo.Offered
-		return k, nil
-	}
-	k.StableFrac, k.StableQPS, k.StableP95 = loFrac, lo.Offered, lo.P95
-	hi, err := eval(hiFrac)
-	if err != nil {
-		return Knee{}, err
-	}
-	if !hi.Saturated {
-		// Still stable at the top of the bracket: no knee inside.
-		k.StableFrac, k.StableQPS, k.StableP95 = hiFrac, hi.Offered, hi.P95
-		return k, nil
-	}
-	k.Found = true
-	k.KneeFrac, k.KneeQPS = hiFrac, hi.Offered
-
-	loF, hiF := loFrac, hiFrac
-	for hiF-loF > tolFrac {
-		mid := loF + (hiF-loF)/2
-		res, err := eval(mid)
-		if err != nil {
-			return Knee{}, err
-		}
-		if res.Saturated {
-			hiF = mid
-			k.KneeFrac, k.KneeQPS = mid, res.Offered
-		} else {
-			loF = mid
-			k.StableFrac, k.StableQPS, k.StableP95 = mid, res.Offered, res.P95
-		}
-	}
-	return k, nil
-}
-
-// kneeSearchFluid is the fluid-guided search. ok is false when the
-// service distribution hides its moments, in which case the caller
-// falls back to the purely discrete search.
-func kneeSearchFluid(ctx context.Context, cfg Config, loFrac, hiFrac, tolFrac float64) (Knee, bool, error) {
-	est, okEst := fluidKneeFrac(cfg)
-	if !okEst {
-		return Knee{}, false, nil
-	}
-	peak := Capacity(cfg.Servers, cfg.Service)
-	var k Knee
-	evalD := func(frac float64) (Result, error) {
-		c := cfg
-		c.FluidApprox = false
-		c.ArrivalRate = frac * peak
-		k.Evals++
-		return RunContext(ctx, c)
-	}
-	stableFluid := false
-	setStable := func(frac float64, r Result) {
-		k.StableFrac, k.StableQPS, k.StableP95 = frac, r.Offered, r.P95
-		stableFluid = r.Fluid
-	}
-	setKnee := func(frac float64, r Result) {
-		k.Found = true
-		k.KneeFrac, k.KneeQPS = frac, r.Offered
-	}
-
-	// Screening probe at the bracket floor: the fluid model answers it
-	// when the load is inside the fluid threshold; otherwise this is an
-	// ordinary discrete evaluation.
-	lo, err := func() (Result, error) {
-		c := cfg
-		c.ArrivalRate = loFrac * peak
-		r, err := RunContext(ctx, c)
-		if err == nil && r.Fluid {
-			k.FluidEvals++
-		} else if err == nil {
-			k.Evals++
-		}
-		return r, err
-	}()
-	if err != nil {
-		return Knee{}, true, err
-	}
-	if lo.Saturated {
-		// The fluid model never reports saturation, so this verdict is
-		// discrete: the whole bracket is past the knee.
-		setKnee(loFrac, lo)
-		return k, true, nil
-	}
-	setStable(loFrac, lo)
-
-	// Narrow the bracket around the analytic estimate before paying for
-	// endpoint simulations far from the knee.
-	margin := 4 * tolFrac
-	if margin < 0.05 {
-		margin = 0.05
-	}
-	loF, hiF := loFrac, hiFrac
-	haveHi := false
-	if ghi := est + margin; ghi > loF && ghi < hiF {
-		res, err := evalD(ghi)
-		if err != nil {
-			return Knee{}, true, err
-		}
-		if res.Saturated {
-			hiF = ghi
-			setKnee(ghi, res)
-			haveHi = true
-		} else {
-			loF = ghi
-			setStable(ghi, res)
-		}
-	}
-	if haveHi {
-		if glo := est - margin; glo > loF {
-			res, err := evalD(glo)
-			if err != nil {
-				return Knee{}, true, err
-			}
-			if res.Saturated {
-				hiF = glo
-				setKnee(glo, res)
-			} else {
-				loF = glo
-				setStable(glo, res)
-			}
-		}
-	} else {
-		res, err := evalD(hiF)
-		if err != nil {
-			return Knee{}, true, err
-		}
-		if !res.Saturated {
-			// Still stable at the top of the bracket: no knee inside.
-			setStable(hiF, res)
-			return k, true, nil
-		}
-		setKnee(hiF, res)
-	}
-
-	for hiF-loF > tolFrac {
-		mid := loF + (hiF-loF)/2
-		res, err := evalD(mid)
-		if err != nil {
-			return Knee{}, true, err
-		}
-		if res.Saturated {
-			hiF = mid
-			setKnee(mid, res)
-		} else {
-			loF = mid
-			setStable(mid, res)
-		}
-	}
-
-	if stableFluid {
-		// The returned stable point must be simulation-sourced: re-run
-		// the fluid-screened endpoint discretely, and if the screen's
-		// stability verdict does not survive simulation, discard the
-		// guided search entirely.
-		res, err := evalD(k.StableFrac)
-		if err != nil {
-			return Knee{}, true, err
-		}
-		if res.Saturated {
-			kd, err := kneeSearchDiscrete(ctx, cfg, loFrac, hiFrac, tolFrac)
-			kd.Evals += k.Evals
-			kd.FluidEvals = k.FluidEvals
-			return kd, true, err
-		}
-		setStable(k.StableFrac, res)
-	}
-	if chk := audit.Resolve(cfg.Audit); chk != nil && k.Found && k.FluidEvals > 0 {
-		// Canary for the fluid containment contract: the only fluid
-		// answer is the loFrac screen, which must sit at or below the
-		// returned stable endpoint, never inside the bracket.
-		if loFrac > k.StableFrac && loFrac < k.KneeFrac {
-			audit.Failf(chk, "queueing", "fluid-in-bracket",
-				"fluid screening eval at %g landed inside the knee bracket (%g, %g)",
-				loFrac, k.StableFrac, k.KneeFrac)
-		}
-	}
-	return k, true, nil
 }

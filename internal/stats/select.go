@@ -35,32 +35,58 @@ func SummarizeSelect(values []float64) Summary {
 			Mean: m,
 		}
 	}
-	return Summary{
-		P50:  selectPercentile(values, 50),
-		P95:  selectPercentile(values, 95),
-		P99:  selectPercentile(values, 99),
-		Mean: m,
+	// Each select runs on the suffix past the previous percentile's
+	// low rank: selectRank left everything before that rank <= it and
+	// everything after >= it, so the suffix holds exactly the higher
+	// order statistics.
+	p50, done := selectPercentile(values, -1, 50)
+	p95, done := selectPercentile(values, done, 95)
+	p99, _ := selectPercentile(values, done, 99)
+	return Summary{P50: p50, P95: p95, P99: p99, Mean: m}
+}
+
+// SelectPercentile returns the p-th percentile of values, bit-identical
+// to Percentile and to the matching SummarizeSelect field, by one
+// quickselect instead of a sort. The buffer is partially reordered in
+// place. Callers that need a single percentile of a large buffer (the
+// queueing knee search's P95) use it to skip the other two selects.
+func SelectPercentile(values []float64, p float64) float64 {
+	if len(values) == 0 {
+		return math.NaN()
 	}
+	if math.IsNaN(Mean(values)) {
+		// The same NaN guard as SummarizeSelect, so the two agree.
+		sort.Float64s(values)
+		return SortedPercentile(values, p)
+	}
+	v, _ := selectPercentile(values, -1, p)
+	return v
 }
 
 // selectPercentile returns the p-th percentile of values using the same
 // closest-rank interpolation as SortedPercentile, obtaining the two
 // bracketing order statistics by quickselect instead of a sort. The
-// slice is partially reordered in place.
-func selectPercentile(values []float64, p float64) float64 {
+// slice is partially reordered in place. done is a rank an earlier call
+// already selected (values[done] is that order statistic, with
+// everything before it <= and everything after it >=), or -1; p's low
+// rank must not be below it. The returned rank is p's low rank, now
+// selected in the same sense, for the next call's done.
+func selectPercentile(values []float64, done int, p float64) (float64, int) {
 	n := len(values)
-	if p <= 0 {
-		return selectRank(values, 0)
-	}
-	if p >= 100 {
-		return selectRank(values, n-1)
-	}
 	rank := p / 100 * float64(n-1)
+	if p <= 0 {
+		rank = 0
+	} else if p >= 100 {
+		rank = float64(n - 1)
+	}
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
-	vlo := selectRank(values, lo)
+	vlo := values[lo]
+	if lo != done {
+		vlo = selectRank(values[done+1:], lo-done-1)
+	}
 	if lo == hi {
-		return vlo
+		return vlo, lo
 	}
 	// selectRank leaves values[lo+1:] all >= vlo, so the hi-rank order
 	// statistic is that suffix's minimum.
@@ -71,7 +97,7 @@ func selectPercentile(values []float64, p float64) float64 {
 		}
 	}
 	frac := rank - float64(lo)
-	return vlo*(1-frac) + vhi*frac
+	return vlo*(1-frac) + vhi*frac, lo
 }
 
 // selectRank partitions a in place so that a[k] holds its k-th order

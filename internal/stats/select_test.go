@@ -50,6 +50,90 @@ func TestSummarizeSelectNaNFallsBackToSummarize(t *testing.T) {
 	}
 }
 
+// selectPs are the percentiles the select tests probe: both clamped
+// ends, exact and fractional ranks, and the three Summary fields.
+var selectPs = []float64{0, 25, 50, 95, 99, 100}
+
+// checkSelect compares both quickselect entry points against the
+// sort-based ones on a copy of a.
+func checkSelect(t *testing.T, a []float64) {
+	t.Helper()
+	if got, want := SummarizeSelect(append([]float64(nil), a...)), Summarize(append([]float64(nil), a...)); got != want {
+		t.Fatalf("%v: SummarizeSelect = %+v, Summarize = %+v", a, got, want)
+	}
+	for _, p := range selectPs {
+		if got, want := SelectPercentile(append([]float64(nil), a...), p), Percentile(a, p); got != want {
+			t.Fatalf("%v: SelectPercentile(p=%v) = %v, Percentile = %v", a, p, got, want)
+		}
+	}
+}
+
+// TestSummarizeSelectSmallInputs runs every input of length 1, 2 and 3
+// over a three-value alphabet, so each percentile's low rank lands on,
+// and past, the rank the previous select left in place, with and
+// without ties.
+func TestSummarizeSelectSmallInputs(t *testing.T) {
+	alphabet := []float64{1.5, 2.25, 4}
+	for n := 1; n <= 3; n++ {
+		a := make([]float64, n)
+		combos := 1
+		for i := 0; i < n; i++ {
+			combos *= len(alphabet)
+		}
+		for c := 0; c < combos; c++ {
+			for i, x := 0, c; i < n; i, x = i+1, x/len(alphabet) {
+				a[i] = alphabet[x%len(alphabet)]
+			}
+			checkSelect(t, a)
+		}
+	}
+}
+
+// TestSummarizeSelectAllTied covers inputs whose values are all equal,
+// and inputs that are one tie block below another, at sizes where the
+// narrowed selects start on an empty or one-element suffix.
+func TestSummarizeSelectAllTied(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 20, 21, 100, 101, 1000} {
+		a := make([]float64, n)
+		for i := range a {
+			a[i] = 0.75
+		}
+		checkSelect(t, a)
+		for i := range a {
+			if i%2 == 1 {
+				a[i] = 3
+			}
+		}
+		checkSelect(t, a)
+	}
+}
+
+// TestSelectPercentileMatchesPercentile pins the single-percentile
+// select against the sort across seeds and sizes.
+func TestSelectPercentileMatchesPercentile(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		r := NewRNG(seed)
+		for _, n := range []int{5, 99, 100, 101, 30000} {
+			a := make([]float64, n)
+			for i := range a {
+				a[i] = r.FastLogNormal(-5, 1.5)
+			}
+			for _, p := range selectPs {
+				if got, want := SelectPercentile(append([]float64(nil), a...), p), Percentile(a, p); got != want {
+					t.Fatalf("seed %d n %d p %v: SelectPercentile = %v, Percentile = %v", seed, n, p, got, want)
+				}
+			}
+		}
+	}
+	if got := SelectPercentile(nil, 95); !math.IsNaN(got) {
+		t.Fatalf("empty input: got %v, want NaN", got)
+	}
+	withNaN := []float64{1, math.NaN(), 3}
+	if got, want := SelectPercentile(append([]float64(nil), withNaN...), 95), Percentile(withNaN, 95); got != want {
+		t.Fatalf("NaN input: got %v, want the sort-based %v", got, want)
+	}
+}
+
 func TestSelectRankIsOrderStatistic(t *testing.T) {
 	r := NewRNG(7)
 	const n = 257

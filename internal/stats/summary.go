@@ -43,7 +43,8 @@ func SortedPercentile(sorted []float64, p float64) float64 {
 }
 
 // Summary holds the order statistics the queueing simulator reports,
-// all derived from a single sort of the sample buffer.
+// derived from one sort (Summarize) or from quickselects
+// (SummarizeSelect) of the sample buffer, bit-identical either way.
 type Summary struct {
 	P50  float64
 	P95  float64
