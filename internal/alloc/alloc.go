@@ -8,7 +8,10 @@
 // The simulator replays a trace against a fixed cluster of baseline and
 // GreenSKU servers and reports rejections, packing densities, and
 // per-server memory-utilisation snapshots — the measurements behind
-// Figs. 9 and 10.
+// Figs. 9 and 10. Every replay, single- or multi-pool, runs on the
+// columnar fleet (colsim.go) with the placement index (index.go); the
+// linear scan those are proven against lives in internal/oracle, which
+// only tests and cmd/gsfbench import.
 package alloc
 
 import (
@@ -109,100 +112,6 @@ type Config struct {
 	// the process default (audit.SetDefault); if that is also nil,
 	// checking is disabled and costs nothing.
 	Audit audit.Checker
-	// ReferenceScan disables the O(log S) placement index and selects
-	// servers with the original O(S) linear scan. The two paths are
-	// decision-identical (proven by the differential suite; audited
-	// runs additionally cross-check every indexed pick against the
-	// scan); the flag exists so the reference implementation stays
-	// executable for differential tests and benchmarks.
-	ReferenceScan bool
-	// ReferenceLayout keeps the original materialized server structs
-	// (one heap object per server, built up front) instead of the
-	// columnar fleet (colsim.go) that the default path now runs on.
-	// The layouts are decision-identical — proven by the differential
-	// suite — and the flag keeps the struct implementation executable
-	// for those proofs and for layout benchmarks. Implied by
-	// ReferenceScan, which has no columnar counterpart.
-	ReferenceLayout bool
-}
-
-type server struct {
-	class     *ServerClass
-	coresFree float64
-	memFree   float64
-	vms       int
-	// maxMemTouched accumulates the resident VMs' maximum touched
-	// memory in GB (request * MaxMemFrac), the Fig. 10 metric.
-	maxMemTouched float64
-	// id is the server's index within its pool — the placement
-	// tie-break of last resort, and its node slot in the pool's index.
-	id int32
-	// ix is the pool's placement index, or nil when running the
-	// reference scan; mutations must detach from and re-attach to it.
-	ix *poolIndex
-}
-
-func (s *server) fits(cores, mem float64) bool {
-	return s.coresFree >= cores && s.memFree >= mem
-}
-
-type departure struct {
-	at         float64
-	srv        *server
-	cores, mem float64
-	touched    float64
-}
-
-// depHeap is a min-heap of pending departures ordered by time. It uses
-// typed push/pop rather than container/heap: the interface-based API
-// boxes every departure through an interface{}, one heap allocation per
-// placement on the simulator's hot path. The sift directions mirror
-// container/heap's exactly, so equal-time departures pop in the same
-// order as before.
-type depHeap []departure
-
-func depPush(h *depHeap, d departure) {
-	*h = append(*h, d)
-	hh := *h
-	i := len(hh) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if hh[parent].at <= hh[i].at {
-			break
-		}
-		hh[parent], hh[i] = hh[i], hh[parent]
-		i = parent
-	}
-}
-
-func depPop(h *depHeap) departure {
-	hh := *h
-	top := hh[0]
-	n := len(hh) - 1
-	hh[0] = hh[n]
-	hh[n] = departure{} // drop the server pointer for the collector
-	*h = hh[:n]
-	depSiftDown(hh[:n], 0)
-	return top
-}
-
-func depSiftDown(h depHeap, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && h[r].at < h[l].at {
-			m = r
-		}
-		if h[i].at <= h[m].at {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
 }
 
 // ClassStats aggregates snapshot measurements for one server class.
@@ -242,424 +151,26 @@ func Simulate(tr trace.Trace, cfg Config, decide Decider) (Result, error) {
 }
 
 // SimulateContext is Simulate with cancellation: the arrival loop polls
-// ctx every 1024 VMs and returns the context error once observed.
-//
-// The default path streams the trace through the columnar simulator
-// (colsim.go); Config.ReferenceScan and Config.ReferenceLayout select
-// the materialized-struct reference implementation below, which the
-// differential suite proves decision-identical.
+// ctx every 1024 VMs and returns the context error once observed. It
+// streams the trace through the columnar simulator (SimulateSource),
+// which validates each VM as it arrives.
 func SimulateContext(ctx context.Context, tr trace.Trace, cfg Config, decide Decider) (Result, error) {
-	if err := tr.Validate(); err != nil {
-		return Result{}, err
-	}
-	if !cfg.ReferenceLayout && !cfg.ReferenceScan && !testIgnoreCapacity {
-		return SimulateSource(ctx, trace.NewSliceSource(tr), cfg, decide)
-	}
-	if cfg.NBase < 0 || cfg.NGreen < 0 || cfg.NBase+cfg.NGreen == 0 {
-		return Result{}, fmt.Errorf("alloc: cluster needs at least one server")
-	}
-	if cfg.NBase > 0 && (cfg.Base.Cores <= 0 || cfg.Base.Memory <= 0) {
-		return Result{}, fmt.Errorf("alloc: baseline class has no capacity")
-	}
-	if cfg.NGreen > 0 && (cfg.Green.Cores <= 0 || cfg.Green.Memory <= 0) {
-		return Result{}, fmt.Errorf("alloc: green class has no capacity")
-	}
-	if decide == nil {
-		decide = AdoptNone
-	}
-	snapEvery := cfg.SnapshotEvery
-	if snapEvery <= 0 {
-		snapEvery = 12
-	}
-
-	chk := audit.Resolve(cfg.Audit)
-
-	baseSrvs := makeServers(&cfg.Base, cfg.NBase)
-	greenSrvs := makeServers(&cfg.Green, cfg.NGreen)
-
-	// Build the placement index unless the caller asked for the
-	// reference scan. testIgnoreCapacity forces the scan too: it
-	// deliberately breaks feasibility so the audit canary tests can
-	// watch the scan path get caught.
-	var baseIx, greenIx *poolIndex
-	if !cfg.ReferenceScan && !testIgnoreCapacity {
-		baseIx = newPoolIndex(baseSrvs)
-		greenIx = newPoolIndex(greenSrvs)
-	}
-
-	var deps depHeap
-	var res Result
-	baseAgg := newAggregator()
-	greenAgg := newAggregator()
-	nextSnap := snapEvery
-
-	release := func(until float64) {
-		for len(deps) > 0 && deps[0].at <= until {
-			d := depPop(&deps)
-			s := d.srv
-			if s.ix != nil {
-				s.ix.detach(s)
-			}
-			s.coresFree += d.cores
-			s.memFree += d.mem
-			s.vms--
-			s.maxMemTouched -= d.touched
-			if s.ix != nil {
-				s.ix.attach(s)
-			}
-			if chk != nil {
-				auditServerBounds(chk, s, "release")
-			}
-		}
-	}
-
-	for i, vm := range tr.VMs {
-		if i&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-		}
-		// Take snapshots and release departed VMs up to this arrival.
-		for nextSnap <= vm.Arrive {
-			release(nextSnap)
-			baseAgg.observe(baseSrvs)
-			greenAgg.observe(greenSrvs)
-			res.Snapshots++
-			nextSnap += snapEvery
-		}
-		release(vm.Arrive)
-
-		d := decide(vm)
-		if d.Scale < 1 {
-			d.Scale = 1
-		}
-		var placedSrv *server
-		var cores, mem float64
-		placedGreen := false
-		if vm.FullNode {
-			// Full-node VMs take a dedicated, empty baseline server.
-			full := float64(cfg.Base.Cores)
-			fullMem := float64(cfg.Base.Memory)
-			if baseIx != nil {
-				placedSrv = baseIx.firstEmptyFitting(full, fullMem)
-				if chk != nil {
-					auditFullNodePick(chk, baseSrvs, placedSrv, full, fullMem)
-				}
-			} else {
-				for _, s := range baseSrvs {
-					if s.vms == 0 && s.fits(full, fullMem) {
-						placedSrv = s
-						break
-					}
-				}
-			}
-			if placedSrv != nil {
-				cores, mem = full, fullMem
-			}
-		} else {
-			if d.Adopt && cfg.NGreen > 0 {
-				cores = float64(vm.Cores) * d.Scale
-				mem = float64(vm.Memory) * d.Scale
-				placedSrv = pickFrom(chk, greenIx, greenSrvs, cores, mem, cfg)
-				placedGreen = placedSrv != nil
-			}
-			if placedSrv == nil {
-				cores = float64(vm.Cores)
-				mem = float64(vm.Memory)
-				placedSrv = pickFrom(chk, baseIx, baseSrvs, cores, mem, cfg)
-			}
-		}
-		if placedSrv == nil {
-			if chk != nil {
-				auditRejection(chk, vm, baseSrvs, greenSrvs, baseIx, greenIx, d, cfg)
-			}
-			res.Rejected++
-			if vm.Deferrable {
-				res.DeferrableRejected++
-			}
-			continue
-		}
-		if chk != nil {
-			// Admissibility: the chosen server must actually fit the
-			// request, and the VM must not already have departed.
-			if !placedSrv.fits(cores, mem) {
-				audit.Failf(chk, "alloc", "admissibility",
-					"VM %d (%gc/%gGB) placed on %s with only %gc/%gGB free",
-					vm.ID, cores, mem, placedSrv.class.Name, placedSrv.coresFree, placedSrv.memFree)
-			}
-			if vm.Depart <= vm.Arrive {
-				audit.Failf(chk, "alloc", "placed-after-departure",
-					"VM %d placed at t=%g after its departure t=%g", vm.ID, vm.Arrive, vm.Depart)
-			}
-		}
-		touched := mem * vm.MaxMemFrac
-		if placedSrv.ix != nil {
-			placedSrv.ix.detach(placedSrv)
-		}
-		placedSrv.coresFree -= cores
-		placedSrv.memFree -= mem
-		placedSrv.vms++
-		placedSrv.maxMemTouched += touched
-		if placedSrv.ix != nil {
-			placedSrv.ix.attach(placedSrv)
-		}
-		if chk != nil {
-			auditServerBounds(chk, placedSrv, "place")
-		}
-		if testObserve != nil {
-			testObserve(vm.ID, placedGreen, placedSrv.id)
-		}
-		depPush(&deps, departure{at: vm.Depart, srv: placedSrv, cores: cores, mem: mem, touched: touched})
-		res.Placed++
-		if vm.Deferrable {
-			res.DeferrablePlaced++
-		}
-	}
-	// Keep snapshotting through the tail of the trace, then take a
-	// final observation at the horizon.
-	for nextSnap <= tr.Horizon {
-		release(nextSnap)
-		baseAgg.observe(baseSrvs)
-		greenAgg.observe(greenSrvs)
-		res.Snapshots++
-		nextSnap += snapEvery
-	}
-	release(tr.Horizon)
-	baseAgg.observe(baseSrvs)
-	greenAgg.observe(greenSrvs)
-	res.Snapshots++
-
-	if chk != nil {
-		// Conservation: once every VM has departed (some depart after
-		// the horizon, so drain the heap completely), every server must
-		// be exactly full-capacity free again. Any drift means a
-		// placement and its release did not move the same resources.
-		release(math.Inf(1))
-		auditConservation(chk, baseSrvs)
-		auditConservation(chk, greenSrvs)
-		// The index saw every mutation; verify it still mirrors the
-		// pools structurally (treap order, augmented maxima, segment
-		// maxima, occupancy classes).
-		baseIx.auditIntegrity(chk, "base")
-		greenIx.auditIntegrity(chk, "green")
-	}
-
-	res.Base = baseAgg.stats()
-	res.Green = greenAgg.stats()
-	return res, nil
+	return SimulateSource(ctx, trace.NewSliceSource(tr), cfg, decide)
 }
 
-// auditServerBounds checks one mutated server's free capacity stays in
-// [0, capacity] (within audit.SimTol for accumulated rounding).
-func auditServerBounds(chk audit.Checker, s *server, op string) {
-	const tol = audit.SimTol
-	if s.coresFree < -tol || s.coresFree > float64(s.class.Cores)+tol {
-		audit.Failf(chk, "alloc", "core-conservation",
-			"%s on %s: free cores %g outside [0, %d]", op, s.class.Name, s.coresFree, s.class.Cores)
-	}
-	if s.memFree < -tol || s.memFree > float64(s.class.Memory)+tol {
-		audit.Failf(chk, "alloc", "memory-conservation",
-			"%s on %s: free memory %g outside [0, %g]", op, s.class.Name, s.memFree, float64(s.class.Memory))
-	}
-	if s.vms < 0 {
-		audit.Failf(chk, "alloc", "vm-count", "%s on %s: resident VM count %d < 0", op, s.class.Name, s.vms)
-	}
-	if s.maxMemTouched < -tol {
-		audit.Failf(chk, "alloc", "memory-conservation",
-			"%s on %s: touched memory %g < 0", op, s.class.Name, s.maxMemTouched)
-	}
-}
-
-// auditConservation checks a fully-drained server pool returned to its
-// initial state: free capacity equals class capacity and nothing is
-// resident.
-func auditConservation(chk audit.Checker, servers []*server) {
-	for i, s := range servers {
-		if !audit.Close(s.coresFree, float64(s.class.Cores), audit.SimTol) {
-			audit.Failf(chk, "alloc", "core-conservation",
-				"server %d (%s): %g cores free after drain, want %d", i, s.class.Name, s.coresFree, s.class.Cores)
-		}
-		if !audit.Close(s.memFree, float64(s.class.Memory), audit.SimTol) {
-			audit.Failf(chk, "alloc", "memory-conservation",
-				"server %d (%s): %g GB free after drain, want %g", i, s.class.Name, s.memFree, float64(s.class.Memory))
-		}
-		if s.vms != 0 {
-			audit.Failf(chk, "alloc", "vm-count",
-				"server %d (%s): %d VMs resident after drain", i, s.class.Name, s.vms)
-		}
-		if !audit.Close(s.maxMemTouched, 0, audit.SimTol) {
-			audit.Failf(chk, "alloc", "memory-conservation",
-				"server %d (%s): %g GB touched after drain", i, s.class.Name, s.maxMemTouched)
-		}
-	}
-}
-
-// auditRejection verifies a rejection was genuine: no feasible server
-// exists for the request. Runs only when auditing is enabled (it scans
-// the whole cluster), and when the placement index is live it probes
-// the index too — a rejection the index agrees with but the slice
-// refutes (or vice versa) is itself a violation.
-func auditRejection(chk audit.Checker, vm trace.VM, baseSrvs, greenSrvs []*server, baseIx, greenIx *poolIndex, d Decision, cfg Config) {
-	if vm.FullNode {
-		// Full-node VMs need an empty baseline server.
-		full, fullMem := float64(cfg.Base.Cores), float64(cfg.Base.Memory)
-		for _, s := range baseSrvs {
-			if s.vms == 0 && s.fits(full, fullMem) {
-				audit.Failf(chk, "alloc", "spurious-rejection",
-					"full-node VM %d rejected with an empty baseline server available", vm.ID)
-				return
-			}
-		}
-		if baseIx != nil && baseIx.firstEmptyFitting(full, fullMem) != nil {
-			audit.Failf(chk, "alloc", "index-divergence",
-				"full-node VM %d: index reports an empty baseline server the scan does not", vm.ID)
-		}
-		return
-	}
-	for _, s := range baseSrvs {
-		if s.fits(float64(vm.Cores), float64(vm.Memory)) {
-			audit.Failf(chk, "alloc", "spurious-rejection",
-				"VM %d (%dc/%gGB) rejected with feasible baseline server", vm.ID, vm.Cores, float64(vm.Memory))
-			return
-		}
-	}
-	if baseIx != nil && baseIx.pick(float64(vm.Cores), float64(vm.Memory), cfg.Policy, cfg.PreferNonEmpty) != nil {
-		audit.Failf(chk, "alloc", "index-divergence",
-			"VM %d: baseline index reports a feasible server the scan does not", vm.ID)
-	}
-	if d.Adopt && cfg.NGreen > 0 {
-		scaledCores := float64(vm.Cores) * d.Scale
-		scaledMem := float64(vm.Memory) * d.Scale
-		for _, s := range greenSrvs {
-			if s.fits(scaledCores, scaledMem) {
-				audit.Failf(chk, "alloc", "spurious-rejection",
-					"adopting VM %d (%gc/%gGB scaled) rejected with feasible green server", vm.ID, scaledCores, scaledMem)
-				return
-			}
-		}
-		if greenIx != nil && greenIx.pick(scaledCores, scaledMem, cfg.Policy, cfg.PreferNonEmpty) != nil {
-			audit.Failf(chk, "alloc", "index-divergence",
-				"adopting VM %d: green index reports a feasible server the scan does not", vm.ID)
-		}
-	}
-}
-
-// auditFullNodePick cross-checks the index's full-node selection (the
-// lowest-indexed empty server that fits a whole baseline node) against
-// the reference scan.
-func auditFullNodePick(chk audit.Checker, baseSrvs []*server, got *server, full, fullMem float64) {
-	var want *server
-	for _, s := range baseSrvs {
-		if s.vms == 0 && s.fits(full, fullMem) {
-			want = s
-			break
-		}
-	}
-	if got != want {
-		audit.Failf(chk, "alloc", "index-divergence",
-			"full-node pick: index chose server %d, scan chose %d", srvID(got), srvID(want))
-	}
-}
-
-// pickFrom selects a feasible server from one pool: through the
-// placement index when it is live, by reference scan otherwise. With
-// auditing on, every indexed decision is re-derived by the scan and
-// any disagreement is reported — the index's runtime equivalence
-// guarantee.
-func pickFrom(chk audit.Checker, ix *poolIndex, servers []*server, cores, mem float64, cfg Config) *server {
-	if ix == nil {
-		return pick(servers, cores, mem, cfg)
-	}
-	s := ix.pick(cores, mem, cfg.Policy, cfg.PreferNonEmpty)
-	if chk != nil {
-		if ref := pick(servers, cores, mem, cfg); ref != s {
-			audit.Failf(chk, "alloc", "index-divergence",
-				"pick(%gc/%gGB, %v, preferNonEmpty=%v): index chose server %d, scan chose %d",
-				cores, mem, cfg.Policy, cfg.PreferNonEmpty, srvID(s), srvID(ref))
-		}
-	}
-	return s
-}
-
-// srvID renders a possibly-nil server's pool index for audit messages.
-func srvID(s *server) int32 {
-	if s == nil {
-		return -1
-	}
-	return s.id
-}
-
-func makeServers(class *ServerClass, n int) []*server {
-	out := make([]*server, n)
-	for i := range out {
-		out[i] = &server{
-			class:     class,
-			coresFree: float64(class.Cores),
-			memFree:   float64(class.Memory),
-			id:        int32(i),
-		}
-	}
-	return out
-}
-
-// testIgnoreCapacity, when true, makes pick skip the feasibility
-// check — a deliberately broken allocator. It exists only so tests can
-// prove the audit layer catches oversubscription; never set it outside
-// a test. It also forces the reference-scan path: the index cannot
-// express "ignore feasibility".
+// testIgnoreCapacity, when true, makes the simulator's pick skip the
+// feasibility check — a deliberately broken allocator. It exists only
+// so tests can prove the audit layer catches oversubscription; never
+// set it outside a test. The index cannot express "ignore
+// feasibility", so the broken pick runs through fleet.scanPick.
 var testIgnoreCapacity bool
 
 // testObserve, when non-nil, receives every successful placement
 // (VM ID, pool, server index) in decision order. The differential
-// suite uses it to compare the indexed and reference allocators'
-// placement sequences, not just their aggregate Results. Never set it
-// outside a test.
+// walls use it to compare the columnar simulator's placement sequence
+// against internal/oracle's, not just their aggregate Results. Never
+// set it outside a test.
 var testObserve func(vmID int, green bool, serverID int32)
-
-// pick selects a feasible server under the configured policy by
-// linear scan — the reference implementation the placement index
-// (index.go) must match decision-for-decision. It stays the active
-// path when Config.ReferenceScan is set and defines the semantics the
-// differential and audit layers verify the index against.
-func pick(servers []*server, cores, mem float64, cfg Config) *server {
-	var best *server
-	bestNonEmpty := false
-	better := func(cand *server, candNonEmpty bool) bool {
-		if best == nil {
-			return true
-		}
-		if cfg.PreferNonEmpty && candNonEmpty != bestNonEmpty {
-			return candNonEmpty
-		}
-		switch cfg.Policy {
-		case BestFit:
-			if cand.coresFree != best.coresFree {
-				return cand.coresFree < best.coresFree
-			}
-			return cand.memFree < best.memFree
-		case WorstFit:
-			if cand.coresFree != best.coresFree {
-				return cand.coresFree > best.coresFree
-			}
-			// Symmetric with BestFit's two-level break: on equal free
-			// cores, prefer the server with more free memory.
-			return cand.memFree > best.memFree
-		default: // FirstFit: earlier index wins; iteration order handles it
-			return false
-		}
-	}
-	for _, s := range servers {
-		if !s.fits(cores, mem) && !testIgnoreCapacity {
-			continue
-		}
-		nonEmpty := s.vms > 0
-		if better(s, nonEmpty) {
-			best = s
-			bestNonEmpty = nonEmpty
-		}
-	}
-	return best
-}
 
 // aggregator accumulates snapshot observations for one class as
 // running sums — O(1) memory however many snapshots a replay takes,
@@ -676,11 +187,8 @@ type aggregator struct {
 	localFits, observed     int
 }
 
-func newAggregator() *aggregator { return &aggregator{} }
-
 // observeServer folds one non-empty server's snapshot observation into
-// the per-server sums. Both layouts funnel through it: the struct path
-// passes the server's fields, the columnar path its column entries.
+// the per-server sums.
 func (a *aggregator) observeServer(class *ServerClass, maxMemTouched float64) {
 	util := maxMemTouched / float64(class.Memory)
 	a.maxMemUtilSum += util
@@ -707,24 +215,6 @@ func (a *aggregator) observePacking(allocC, capC, allocM, capM float64) {
 		a.memPackSum += allocM / capM
 		a.packObs++
 	}
-}
-
-func (a *aggregator) observe(servers []*server) {
-	if len(servers) == 0 {
-		return
-	}
-	var allocC, capC, allocM, capM float64
-	for _, s := range servers {
-		if s.vms == 0 {
-			continue
-		}
-		allocC += float64(s.class.Cores) - s.coresFree
-		capC += float64(s.class.Cores)
-		allocM += float64(s.class.Memory) - s.memFree
-		capM += float64(s.class.Memory)
-		a.observeServer(s.class, s.maxMemTouched)
-	}
-	a.observePacking(allocC, capC, allocM, capM)
 }
 
 func (a *aggregator) stats() ClassStats {

@@ -1,29 +1,33 @@
 package alloc
 
-// Steady-state allocation regressions: once a simulation's pools and
-// index are built, placing and releasing VMs must not touch the heap.
-// The index's treaps and segment tree are slice-backed and fixed-size,
-// and the departure heap reuses its backing array, so the simulator's
-// per-VM cost is pure CPU. testing.AllocsPerRun pins that at zero.
+// Steady-state allocation regressions: once a fleet's servers are
+// materialized, placing and releasing VMs must not touch the heap.
+// The index's treaps and segment tree are slice-backed, and the
+// departure heap reuses its backing array, so the simulator's per-VM
+// cost is pure CPU. testing.AllocsPerRun pins that at zero.
 
 import "testing"
 
 func TestIndexedPickZeroAllocs(t *testing.T) {
 	class := ServerClass{Name: "steady", Cores: 32, Memory: 256, LocalMemory: 256}
-	servers := makeServers(&class, 1024)
-	ix := newPoolIndex(servers)
-	// Mixed occupancy so queries traverse both treaps.
-	for i := 0; i < len(servers); i += 3 {
-		place(servers[i], 4, 32)
+	// Mixed occupancy so queries traverse both treaps; every server is
+	// materialized, so no pick opens (and appends) a new one.
+	states := make([]srvState, 1024)
+	for i := range states {
+		states[i] = srvState{cores: 32, mem: 256}
+		if i%3 == 0 {
+			states[i] = srvState{cores: 28, mem: 224, vms: 1}
+		}
 	}
+	f := fleetOf(class, states)
 	for _, pol := range []Policy{BestFit, FirstFit, WorstFit} {
 		avg := testing.AllocsPerRun(200, func() {
-			s := ix.pick(4, 32, pol, true)
-			if s == nil {
+			id := f.pick(4, 32, pol, true)
+			if id == nilNode {
 				t.Fatal("no feasible server in a near-empty pool")
 			}
-			place(s, 4, 32)
-			unplace(s, 4, 32)
+			f.place(id, 4, 32, 0)
+			f.release(id, 4, 32, 0)
 		})
 		if avg != 0 {
 			t.Errorf("indexed pick+place+release under %v allocates %.1f times per op, want 0", pol, avg)

@@ -3,7 +3,6 @@ package alloc
 import (
 	"testing"
 
-	"github.com/greensku/gsf/internal/audit"
 	"github.com/greensku/gsf/internal/trace"
 )
 
@@ -50,44 +49,5 @@ func BenchmarkSimulatePolicies(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkSimulateIndexedVsReference compares the placement index
-// against the reference scan on the same trace and cluster at a size
-// where the scan's O(servers)-per-placement cost dominates. Run with
-// -benchmem: the indexed path's per-run allocations must not grow with
-// placements (pool construction only).
-func BenchmarkSimulateIndexedVsReference(b *testing.B) {
-	tr := benchTrace(b)
-	// The package's TestMain installs a default audit Recorder, under
-	// which every indexed pick is re-derived by the reference scan —
-	// honest for tests, meaningless for timing. Suspend it here.
-	prev := audit.Default()
-	audit.SetDefault(nil)
-	b.Cleanup(func() { audit.SetDefault(prev) })
-	for _, pol := range []Policy{BestFit, FirstFit, WorstFit} {
-		for _, ref := range []bool{false, true} {
-			name := pol.String() + "/indexed"
-			if ref {
-				name = pol.String() + "/reference"
-			}
-			b.Run(name, func(b *testing.B) {
-				cfg := Config{
-					Base:   ServerClass{Name: "base", Cores: 80, Memory: 768, LocalMemory: 768},
-					NBase:  4000,
-					Green:  ServerClass{Name: "green", Cores: 128, Memory: 1024, LocalMemory: 768, Green: true},
-					NGreen: 4000, Policy: pol, PreferNonEmpty: true,
-					ReferenceScan: ref,
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := Simulate(tr, cfg, AdoptAll); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

@@ -1,14 +1,14 @@
 package alloc
 
-// Columnar streaming simulator: the million-server allocation path.
+// Columnar streaming simulator: the only allocation path.
 //
-// The original simulator (the reference layout retained below in
-// alloc.go) materializes one heap-allocated server struct per server
-// up front — fine at 10^3 servers, hostile at 10^6: a million pointer
+// A layout with one heap-allocated server struct per server, built up
+// front, is fine at 10^3 servers and hostile at 10^6: a million pointer
 // dereferences per snapshot sweep, a million objects for the GC to
 // trace, and full materialization even when a replay touches a sliver
-// of the fleet. This file rebuilds the allocation path around two
-// ideas:
+// of the fleet. (internal/oracle keeps exactly that layout, with a
+// linear scan, as the test-only reference.) This file builds the
+// allocation path around two ideas:
 //
 //   - Columnar fleet state. A pool is four parallel slices
 //     (coresFree, memFree, vms, touched) indexed by server id, plus
@@ -25,14 +25,15 @@ package alloc
 //     [0, frontier), and a replay's memory footprint is
 //     O(servers touched), not O(servers configured).
 //
-// The simulator itself (Sim) is a push-style event consumer:
+// The single-pool simulator (Sim) is a push-style event consumer:
 // NewSim → Step per arrival → Finish at the horizon. SimulateSource
 // drives it from any trace.Source, so a binary trace streams through
 // without ever materializing; snapshot.go checkpoints a Sim between
-// Steps and restores it bit-identically. Decision identity with the
-// reference layout — same placements, same rejections, same Result
-// bits — is proven by the differential suite and cross-checked at
-// runtime on every audited placement.
+// Steps and restores it bit-identically. SimulateMulti (multi.go)
+// replays on one fleet per pool. Decision identity with the oracle's
+// linear scan over all n servers — same placements, same rejections,
+// same Result bits — is proven by the differential walls and
+// cross-checked at runtime on every audited placement.
 
 import (
 	"context"
@@ -81,8 +82,8 @@ func (f *fleet) state(id int32) (cores, mem float64, nonEmpty bool) {
 	return f.capC, f.capM, false
 }
 
-// pick selects a feasible server decision-identically to the reference
-// scan over all n servers. The scan visits ids ascending, so it
+// pick selects a feasible server decision-identically to a linear scan
+// over all n servers. The scan visits ids ascending, so it
 // reduces to: scan [0, frontier) — which the index answers — then
 // offer the first virgin (id == frontier) as one more candidate. Later
 // virgins are identical to the first and the scan's preference
@@ -163,6 +164,19 @@ func (f *fleet) firstEmptyFitting(cores, mem float64) int32 {
 	return nilNode
 }
 
+// firstEmpty is the multi-pool full-node rule: the lowest id of an
+// empty server, with no capacity check. Touched empties all precede
+// the first virgin.
+func (f *fleet) firstEmpty() int32 {
+	if t := f.ix.segFirstEmpty(); t != nilNode {
+		return t
+	}
+	if f.frontier < f.n {
+		return f.frontier
+	}
+	return nilNode
+}
+
 // place applies a placement to a server, materializing it first if it
 // is the frontier virgin.
 func (f *fleet) place(id int32, cores, mem, touched float64) {
@@ -186,8 +200,7 @@ func (f *fleet) place(id int32, cores, mem, touched float64) {
 // release returns a departure's resources. Departing VMs were placed,
 // so id is always materialized. A drained server stays materialized
 // and indexed: its accumulated float drift is part of decision
-// identity with the reference layout, which never forgets a server
-// either.
+// identity with the oracle, which never forgets a server either.
 func (f *fleet) release(id int32, cores, mem, touched float64) {
 	f.ix.detachID(id)
 	f.coresFree[id] += cores
@@ -197,10 +210,10 @@ func (f *fleet) release(id int32, cores, mem, touched float64) {
 	f.ix.attachID(id, f.coresFree[id], f.memFree[id], f.vms[id] > 0)
 }
 
-// scanPick is the columnar reference scan: the same preference
-// predicate as pick() in alloc.go, run over the touched prefix plus
-// the first virgin. Audited runs re-derive every indexed decision
-// through it.
+// scanPick is the columnar linear scan: the oracle's preference
+// predicate run over the touched prefix plus the first virgin. Audited
+// runs re-derive every indexed decision through it. Under
+// testIgnoreCapacity it skips the feasibility check.
 func (f *fleet) scanPick(cores, mem float64, pol Policy, preferNonEmpty bool) int32 {
 	best := nilNode
 	var bc, bm float64
@@ -211,7 +224,7 @@ func (f *fleet) scanPick(cores, mem float64, pol Policy, preferNonEmpty bool) in
 	}
 	for id := int32(0); id < limit; id++ {
 		c, m, ne := f.state(id)
-		if !(c >= cores && m >= mem) {
+		if !(c >= cores && m >= mem) && !testIgnoreCapacity {
 			continue
 		}
 		better := false
@@ -244,9 +257,9 @@ func (f *fleet) scanPick(cores, mem float64, pol Policy, preferNonEmpty bool) in
 }
 
 // observeInto folds one snapshot of the fleet into the aggregator,
-// visiting non-empty servers in id order — the same sequence the
-// struct-layout observe sees, so the running sums stay bit-identical.
-// Virgins are empty by definition and contribute nothing.
+// visiting non-empty servers in id order — the same sequence a scan
+// over all n servers sees, so the running sums match the oracle's bit
+// for bit. Virgins are empty by definition and contribute nothing.
 func (f *fleet) observeInto(a *aggregator) {
 	if f.n == 0 {
 		return
@@ -265,23 +278,26 @@ func (f *fleet) observeInto(a *aggregator) {
 	a.observePacking(allocC, capC, allocM, capM)
 }
 
-// colDeparture is a pending departure in the columnar simulator: the
-// server is named by pool and id, not pointer, so the heap is flat
-// data the snapshot codec can carry verbatim.
-type colDeparture struct {
+// departure is a pending departure. The server is named by pool and
+// id, not pointer, so the heap is flat data the snapshot codec can
+// carry verbatim. Sim's pools are 0 (base) and 1 (green);
+// SimulateMulti numbers the green pools from 1 in cluster order.
+type departure struct {
 	at         float64
 	cores, mem float64
 	touched    float64
 	id         int32
-	green      bool
+	pool       int32
 }
 
-// colDepHeap mirrors depHeap's ordering and sift moves exactly
-// (compare .at only, same swap pattern), so equal-time departures pop
-// in the identical order — part of decision identity.
-type colDepHeap []colDeparture
+// depHeap is a min-heap on .at with container/heap's sift moves
+// exactly (compare .at only, same swap pattern), so equal-time
+// departures pop in the order the oracle's container/heap pops them —
+// part of decision identity. Typed push/pop avoid boxing every
+// departure through an interface on the hot path.
+type depHeap []departure
 
-func colDepPush(h *colDepHeap, d colDeparture) {
+func depPush(h *depHeap, d departure) {
 	*h = append(*h, d)
 	hh := *h
 	i := len(hh) - 1
@@ -295,18 +311,18 @@ func colDepPush(h *colDepHeap, d colDeparture) {
 	}
 }
 
-func colDepPop(h *colDepHeap) colDeparture {
+func depPop(h *depHeap) departure {
 	hh := *h
 	top := hh[0]
 	n := len(hh) - 1
 	hh[0] = hh[n]
-	hh[n] = colDeparture{}
+	hh[n] = departure{}
 	*h = hh[:n]
-	colDepSiftDown(hh[:n], 0)
+	depSiftDown(hh[:n], 0)
 	return top
 }
 
-func colDepSiftDown(h colDepHeap, i int) {
+func depSiftDown(h depHeap, i int) {
 	n := len(h)
 	for {
 		l := 2*i + 1
@@ -335,7 +351,7 @@ type Sim struct {
 	name   string
 
 	base, green fleet
-	deps        colDepHeap
+	deps        depHeap
 	baseAgg     aggregator
 	greenAgg    aggregator
 
@@ -350,12 +366,8 @@ type Sim struct {
 }
 
 // NewSim validates the cluster configuration and returns an empty
-// simulator. The configuration checks and their messages match
-// SimulateContext's.
+// simulator.
 func NewSim(name string, cfg Config, decide Decider) (*Sim, error) {
-	if cfg.ReferenceScan || cfg.ReferenceLayout {
-		return nil, fmt.Errorf("alloc: the streaming simulator is columnar only; use SimulateContext for the reference paths")
-	}
 	if cfg.NBase < 0 || cfg.NGreen < 0 || cfg.NBase+cfg.NGreen == 0 {
 		return nil, fmt.Errorf("alloc: cluster needs at least one server")
 	}
@@ -390,14 +402,14 @@ func (s *Sim) Events() int { return s.events }
 
 func (s *Sim) release(until float64) {
 	for len(s.deps) > 0 && s.deps[0].at <= until {
-		d := colDepPop(&s.deps)
+		d := depPop(&s.deps)
 		f := &s.base
-		if d.green {
+		if d.pool != 0 {
 			f = &s.green
 		}
 		f.release(d.id, d.cores, d.mem, d.touched)
 		if s.chk != nil {
-			colAuditBounds(s.chk, f, d.id, "release")
+			auditBounds(s.chk, f, d.id, "release")
 		}
 	}
 }
@@ -485,12 +497,16 @@ func (s *Sim) Step(vm trace.VM) error {
 	touched := mem * vm.MaxMemFrac
 	f.place(placed, cores, mem, touched)
 	if s.chk != nil {
-		colAuditBounds(s.chk, f, placed, "place")
+		auditBounds(s.chk, f, placed, "place")
 	}
 	if testObserve != nil {
 		testObserve(vm.ID, placedGreen, placed)
 	}
-	colDepPush(&s.deps, colDeparture{at: vm.Depart, cores: cores, mem: mem, touched: touched, id: placed, green: placedGreen})
+	pool := int32(0)
+	if placedGreen {
+		pool = 1
+	}
+	depPush(&s.deps, departure{at: vm.Depart, cores: cores, mem: mem, touched: touched, id: placed, pool: pool})
 	s.res.Placed++
 	if vm.Deferrable {
 		s.res.DeferrablePlaced++
@@ -501,9 +517,12 @@ func (s *Sim) Step(vm trace.VM) error {
 }
 
 // pickFrom picks through the index; with auditing on, the decision is
-// re-derived by the columnar reference scan and any disagreement
+// re-derived by the columnar linear scan and any disagreement
 // reported.
 func (s *Sim) pickFrom(f *fleet, pool string, cores, mem float64) int32 {
+	if testIgnoreCapacity {
+		return f.scanPick(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty)
+	}
 	id := f.pick(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty)
 	if s.chk != nil {
 		if ref := f.scanPick(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty); ref != id {
@@ -560,8 +579,9 @@ func (s *Sim) auditRejection(vm trace.VM, d Decision) {
 	}
 }
 
-// colAuditBounds is auditServerBounds for a columnar server.
-func colAuditBounds(chk audit.Checker, f *fleet, id int32, op string) {
+// auditBounds checks one mutated server's free capacity stays in
+// [0, capacity] (within audit.SimTol for accumulated rounding).
+func auditBounds(chk audit.Checker, f *fleet, id int32, op string) {
 	const tol = audit.SimTol
 	if c := f.coresFree[id]; c < -tol || c > f.capC+tol {
 		audit.Failf(chk, "alloc", "core-conservation",
@@ -580,10 +600,10 @@ func colAuditBounds(chk audit.Checker, f *fleet, id int32, op string) {
 	}
 }
 
-// auditConservationFleet checks a fully-drained fleet returned to its
+// auditConservation checks a fully-drained fleet returned to its
 // initial state. Virgins are untouched by construction; the touched
 // prefix must have drained back to exact full capacity.
-func auditConservationFleet(chk audit.Checker, f *fleet) {
+func auditConservation(chk audit.Checker, f *fleet) {
 	for id := int32(0); id < f.frontier; id++ {
 		if !audit.Close(f.coresFree[id], f.capC, audit.SimTol) {
 			audit.Failf(chk, "alloc", "core-conservation",
@@ -617,8 +637,8 @@ func (s *Sim) Finish(horizon float64) Result {
 
 	if s.chk != nil {
 		s.release(math.Inf(1))
-		auditConservationFleet(s.chk, &s.base)
-		auditConservationFleet(s.chk, &s.green)
+		auditConservation(s.chk, &s.base)
+		auditConservation(s.chk, &s.green)
 		s.base.ix.auditIntegrityCore(s.chk, "base", s.base.frontier, s.base.state)
 		s.green.ix.auditIntegrityCore(s.chk, "green", s.green.frontier, s.green.state)
 	}
@@ -630,9 +650,9 @@ func (s *Sim) Finish(horizon float64) Result {
 }
 
 // SimulateSource replays a streaming event source through the columnar
-// simulator — the path SimulateContext takes by default, and the only
-// way to consume a binary trace without materializing it. Cancellation
-// is polled every 1024 events, matching SimulateContext.
+// simulator — the path SimulateContext takes, and the only way to
+// consume a binary trace without materializing it. Cancellation is
+// polled every 1024 events.
 func SimulateSource(ctx context.Context, src trace.Source, cfg Config, decide Decider) (Result, error) {
 	sim, err := NewSim(src.Name(), cfg, decide)
 	if err != nil {

@@ -1,13 +1,8 @@
 package alloc
 
-// Differential equivalence suite: the placement index (index.go) must
-// be decision-identical to the reference linear scan. These tests run
-// the full 35-trace production suite under every policy with
-// PreferNonEmpty on and off, once through each allocator, and demand
-// bit-identical Results and identical per-VM placement sequences. The
-// package's TestMain wraps everything in audit.SweepMain, so every
-// indexed pick here is additionally cross-checked against the scan by
-// the audit layer (alloc/index-divergence) as it happens.
+// Helpers shared by the differential tests: the in-package ones
+// (snapshot resume, probes) and, through export_test.go, the walls
+// against internal/oracle in oracle_test.go.
 
 import (
 	"math"
@@ -44,8 +39,7 @@ func runObserved(t *testing.T, tr trace.Trace, cfg Config) (Result, []placeRec) 
 	defer func() { testObserve = nil }()
 	res, err := Simulate(tr, cfg, diffDecider)
 	if err != nil {
-		t.Fatalf("%s (%v, preferNonEmpty=%v, refScan=%v): %v",
-			tr.Name, cfg.Policy, cfg.PreferNonEmpty, cfg.ReferenceScan, err)
+		t.Fatalf("%s (%v, preferNonEmpty=%v): %v", tr.Name, cfg.Policy, cfg.PreferNonEmpty, err)
 	}
 	return res, seq
 }
@@ -72,120 +66,16 @@ func sameResult(a, b Result) bool {
 		sameClassStats(a.Base, b.Base) && sameClassStats(a.Green, b.Green)
 }
 
-// TestDifferentialIndexedVsScan35Traces replays the whole production
-// suite under all 3 policies x PreferNonEmpty on/off, through the
-// indexed and reference allocators, and asserts byte-identical Results
-// and identical placement sequences. The cluster is sized so every
-// trace produces both placements and rejections.
-func TestDifferentialIndexedVsScan35Traces(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 35-trace differential sweep")
+// sameMulti compares two MultiResults bit for bit.
+func sameMulti(a, b MultiResult) bool {
+	if a.Placed != b.Placed || a.Rejected != b.Rejected || a.Snapshots != b.Snapshots ||
+		!sameClassStats(a.Base, b.Base) || len(a.Green) != len(b.Green) {
+		return false
 	}
-	traces, err := trace.ProductionSuite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	policies := []Policy{BestFit, FirstFit, WorstFit}
-	totalPlaced, totalRejected := 0, 0
-	for _, pol := range policies {
-		for _, prefer := range []bool{false, true} {
-			cfg := Config{
-				Base:           baseClass(),
-				NBase:          40,
-				Green:          greenClass(),
-				NGreen:         40,
-				Policy:         pol,
-				PreferNonEmpty: prefer,
-			}
-			for _, tr := range traces {
-				ref := cfg
-				ref.ReferenceScan = true
-				wantRes, wantSeq := runObserved(t, tr, ref)
-				gotRes, gotSeq := runObserved(t, tr, cfg)
-
-				if !sameResult(gotRes, wantRes) {
-					t.Errorf("%s (%v, preferNonEmpty=%v): indexed Result %+v != reference %+v",
-						tr.Name, pol, prefer, gotRes, wantRes)
-				}
-				if len(gotSeq) != len(wantSeq) {
-					t.Errorf("%s (%v, preferNonEmpty=%v): %d indexed placements vs %d reference",
-						tr.Name, pol, prefer, len(gotSeq), len(wantSeq))
-					continue
-				}
-				for i := range gotSeq {
-					if gotSeq[i] != wantSeq[i] {
-						t.Errorf("%s (%v, preferNonEmpty=%v): placement %d diverges: indexed %+v, reference %+v",
-							tr.Name, pol, prefer, i, gotSeq[i], wantSeq[i])
-						break
-					}
-				}
-				totalPlaced += gotRes.Placed
-				totalRejected += gotRes.Rejected
-			}
+	for i := range a.Green {
+		if !sameClassStats(a.Green[i], b.Green[i]) {
+			return false
 		}
 	}
-	// The sweep must have exercised both outcomes, or the identity
-	// proof is vacuous on one side.
-	if totalPlaced == 0 || totalRejected == 0 {
-		t.Fatalf("differential sweep is degenerate: %d placed, %d rejected", totalPlaced, totalRejected)
-	}
-}
-
-// TestDifferentialMultiPool covers the multi-pool simulator the same
-// way on a subset of the suite: its full-node rule (first empty server
-// regardless of capacity) and per-pool scaled directives go through
-// different index queries than the single-green path.
-func TestDifferentialMultiPool(t *testing.T) {
-	traces, err := trace.ProductionSuite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Short() {
-		traces = traces[:3]
-	} else {
-		traces = traces[:8]
-	}
-	decide := func(vm trace.VM) MultiDecision {
-		switch vm.ID % 4 {
-		case 0:
-			return MultiDecision{Scales: []float64{1.2, 0}}
-		case 1:
-			return MultiDecision{Scales: []float64{0, 1}}
-		case 2:
-			return MultiDecision{Scales: []float64{1, 1.5}}
-		}
-		return MultiDecision{}
-	}
-	for _, pol := range []Policy{BestFit, FirstFit, WorstFit} {
-		mc := MultiConfig{
-			Base:           Pool{Class: baseClass(), N: 30},
-			Greens:         []Pool{{Class: greenClass(), N: 20}, {Class: baseClass(), N: 10}},
-			Policy:         pol,
-			PreferNonEmpty: pol != FirstFit,
-		}
-		for _, tr := range traces {
-			ref := mc
-			ref.ReferenceScan = true
-			want, err := SimulateMulti(tr, ref, decide)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := SimulateMulti(tr, mc, decide)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Placed != want.Placed || got.Rejected != want.Rejected ||
-				got.Snapshots != want.Snapshots ||
-				!sameClassStats(got.Base, want.Base) ||
-				len(got.Green) != len(want.Green) {
-				t.Fatalf("%s (%v): indexed multi result %+v != reference %+v", tr.Name, pol, got, want)
-			}
-			for i := range got.Green {
-				if !sameClassStats(got.Green[i], want.Green[i]) {
-					t.Fatalf("%s (%v): green pool %d stats diverge: %+v vs %+v",
-						tr.Name, pol, i, got.Green[i], want.Green[i])
-				}
-			}
-		}
-	}
+	return true
 }

@@ -1,10 +1,11 @@
 package alloc
 
-// Fuzz harness for the placement index: arbitrary byte strings become
-// place/release sequences, and after every operation each policy query
-// is checked against the reference scan, with a full oracle walk at
-// the end. Any reachable index state that disagrees with the scan —
-// however contrived the interleaving — is a crash.
+// Fuzz harness for the columnar fleet's placement index: arbitrary
+// byte strings become place/release sequences, and after every
+// operation each policy query is checked against the linear scan, with
+// a full oracle walk at the end. Any reachable index state that
+// disagrees with the scan — however contrived the interleaving — is a
+// crash.
 
 import "testing"
 
@@ -14,13 +15,7 @@ import "testing"
 //	op bit 7 clear: place via policy (op>>1)%3, PreferNonEmpty op&1,
 //	                request (opCores[a%n], opMem[b%n])
 func runIndexOps(t *testing.T, data []byte) {
-	type placement struct {
-		s    *server
-		c, m float64
-	}
-	class := indexClass()
-	servers := makeServers(&class, 9)
-	ix := newPoolIndex(servers)
+	f := newFleet(indexClass(), 9)
 	var live []placement
 	for i := 0; i+2 < len(data); i += 3 {
 		op, a, b := data[i], data[i+1], data[i+2]
@@ -30,26 +25,26 @@ func runIndexOps(t *testing.T, data []byte) {
 			}
 			k := (int(a)<<8 | int(b)) % len(live)
 			p := live[k]
-			unplace(p.s, p.c, p.m)
+			f.release(p.id, p.c, p.m, 0)
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
 		} else {
 			c := opCores[int(a)%len(opCores)]
 			m := opMem[int(b)%len(opMem)]
 			pol := Policy((op >> 1) % 3)
-			s := ix.pick(c, m, pol, op&1 == 1)
-			if want := pick(servers, c, m, Config{Policy: pol, PreferNonEmpty: op&1 == 1}); s != want {
+			id := f.pick(c, m, pol, op&1 == 1)
+			if want := f.scanPick(c, m, pol, op&1 == 1); id != want {
 				t.Fatalf("op %d: pick(%g, %g, %v, %v) index %d, scan %d",
-					i/3, c, m, pol, op&1 == 1, srvID(s), srvID(want))
+					i/3, c, m, pol, op&1 == 1, id, want)
 			}
-			if s != nil {
-				place(s, c, m)
-				live = append(live, placement{s, c, m})
+			if id != nilNode {
+				f.place(id, c, m, 0)
+				live = append(live, placement{id, c, m})
 			}
 		}
-		comparePicks(t, ix, servers, opCores[int(b)%len(opCores)], opMem[int(a)%len(opMem)])
+		comparePicks(t, &f, opCores[int(b)%len(opCores)], opMem[int(a)%len(opMem)])
 	}
-	checkOracle(t, ix, servers)
+	checkOracle(t, &f)
 }
 
 func FuzzPlacementIndex(f *testing.F) {

@@ -1,9 +1,9 @@
 package alloc
 
-// Property tests for the placement index against two oracles: the
-// reference scan (pick equality on every query) and a naive recompute
-// of the index's own invariants (treap membership and ordering per
-// occupancy class, done by sorting the live servers). The fuzz harness
+// Property tests for the columnar fleet's placement index against two
+// oracles: the linear scan (pick equality on every query) and a naive
+// recompute of the index's own invariants (treap membership and
+// ordering per occupancy class, done by sorting the touched servers). The fuzz harness
 // in index_fuzz_test.go drives the same checks from arbitrary byte
 // strings.
 
@@ -30,7 +30,7 @@ var (
 )
 
 // inOrder appends the subtree's node ids in key order.
-func inOrder(ix *poolIndex, n int32, out *[]int32) {
+func inOrder(ix *ixCore, n int32, out *[]int32) {
 	if n == nilNode {
 		return
 	}
@@ -39,33 +39,34 @@ func inOrder(ix *poolIndex, n int32, out *[]int32) {
 	inOrder(ix, ix.nodes[n].right, out)
 }
 
-// checkOracle rebuilds the index's claims naively from the servers —
-// which server belongs to which occupancy treap, and in what order —
-// and verifies them, then runs the full structural integrity walk.
-func checkOracle(t *testing.T, ix *poolIndex, servers []*server) {
+// checkOracle rebuilds the index's claims naively from the fleet's
+// touched servers — which server belongs to which occupancy treap, and
+// in what order — and verifies them, then runs the full structural
+// integrity walk.
+func checkOracle(t *testing.T, f *fleet) {
 	t.Helper()
 	want := map[bool][]int32{}
-	for _, s := range servers {
-		want[s.vms > 0] = append(want[s.vms > 0], s.id)
+	for id := int32(0); id < f.frontier; id++ {
+		want[f.vms[id] > 0] = append(want[f.vms[id] > 0], id)
 	}
 	for _, ne := range []bool{true, false} {
 		ids := want[ne]
 		sort.Slice(ids, func(i, j int) bool {
-			a, b := servers[ids[i]], servers[ids[j]]
-			if a.coresFree != b.coresFree {
-				return a.coresFree < b.coresFree
+			a, b := ids[i], ids[j]
+			if f.coresFree[a] != f.coresFree[b] {
+				return f.coresFree[a] < f.coresFree[b]
 			}
-			if a.memFree != b.memFree {
-				return a.memFree < b.memFree
+			if f.memFree[a] != f.memFree[b] {
+				return f.memFree[a] < f.memFree[b]
 			}
-			return a.id < b.id
+			return a < b
 		})
-		root := ix.rootE
+		root := f.ix.rootE
 		if ne {
-			root = ix.rootNE
+			root = f.ix.rootNE
 		}
 		var got []int32
-		inOrder(ix, root, &got)
+		inOrder(&f.ix, root, &got)
 		if len(got) != len(ids) {
 			t.Fatalf("occupancy treap (ne=%v) holds %d servers, oracle says %d", ne, len(got), len(ids))
 		}
@@ -76,79 +77,61 @@ func checkOracle(t *testing.T, ix *poolIndex, servers []*server) {
 		}
 	}
 	rec := audit.NewRecorder()
-	ix.auditIntegrity(rec, "oracle")
+	f.ix.auditIntegrityCore(rec, "oracle", f.frontier, f.state)
 	if rec.Count() > 0 {
 		t.Fatalf("index integrity violations: %v", rec.Violations())
 	}
 }
 
-// comparePicks checks every query the simulator issues — all policies,
-// both PreferNonEmpty settings, and the two full-node variants —
-// against the reference scan, for one request.
-func comparePicks(t *testing.T, ix *poolIndex, servers []*server, c, m float64) {
+// comparePicks checks every query the simulators issue — all
+// policies, both PreferNonEmpty settings, and the two full-node
+// variants — against a linear scan, for one request.
+func comparePicks(t *testing.T, f *fleet, c, m float64) {
 	t.Helper()
 	for _, pol := range []Policy{BestFit, FirstFit, WorstFit} {
 		for _, prefer := range []bool{false, true} {
-			cfg := Config{Policy: pol, PreferNonEmpty: prefer}
-			got := ix.pick(c, m, pol, prefer)
-			want := pick(servers, c, m, cfg)
+			got := f.pick(c, m, pol, prefer)
+			want := f.scanPick(c, m, pol, prefer)
 			if got != want {
 				t.Fatalf("pick(%g, %g, %v, preferNonEmpty=%v): index chose %d, scan chose %d",
-					c, m, pol, prefer, srvID(got), srvID(want))
+					c, m, pol, prefer, got, want)
 			}
 		}
 	}
-	var wantFit, wantAny *server
-	for _, s := range servers {
-		if s.vms != 0 {
+	wantFit, wantAny := nilNode, nilNode
+	for id := int32(0); id < f.n; id++ {
+		sc, sm, ne := f.state(id)
+		if ne {
 			continue
 		}
-		if wantAny == nil {
-			wantAny = s
+		if wantAny == nilNode {
+			wantAny = id
 		}
-		if wantFit == nil && s.fits(c, m) {
-			wantFit = s
+		if wantFit == nilNode && sc >= c && sm >= m {
+			wantFit = id
 		}
 	}
-	if got := ix.firstEmptyFitting(c, m); got != wantFit {
-		t.Fatalf("firstEmptyFitting(%g, %g): index chose %d, scan chose %d", c, m, srvID(got), srvID(wantFit))
+	if got := f.firstEmptyFitting(c, m); got != wantFit {
+		t.Fatalf("firstEmptyFitting(%g, %g): index chose %d, scan chose %d", c, m, got, wantFit)
 	}
-	if got := ix.firstEmpty(); got != wantAny {
-		t.Fatalf("firstEmpty: index chose %d, scan chose %d", srvID(got), srvID(wantAny))
+	if got := f.firstEmpty(); got != wantAny {
+		t.Fatalf("firstEmpty: index chose %d, scan chose %d", got, wantAny)
 	}
 }
 
-// place commits a placement on s through the detach/mutate/attach
-// protocol, exactly as the simulator does.
-func place(s *server, c, m float64) {
-	s.ix.detach(s)
-	s.coresFree -= c
-	s.memFree -= m
-	s.vms++
-	s.ix.attach(s)
-}
-
-func unplace(s *server, c, m float64) {
-	s.ix.detach(s)
-	s.coresFree += c
-	s.memFree += m
-	s.vms--
-	s.ix.attach(s)
+// placement is one live (server, request) pair of a random workload.
+type placement struct {
+	id   int32
+	c, m float64
 }
 
 // TestIndexMatchesOracleRandomOps drives random place/release
-// sequences and checks every index query against the scan after each
+// sequences and checks every fleet query against the scan after each
 // mutation, with periodic full-structure oracle checks.
 func TestIndexMatchesOracleRandomOps(t *testing.T) {
-	type placement struct {
-		s    *server
-		c, m float64
-	}
 	for seed := uint64(1); seed <= 6; seed++ {
 		r := stats.NewRNG(seed * 7919)
-		class := indexClass()
-		servers := makeServers(&class, 11)
-		ix := newPoolIndex(servers)
+		f := newFleet(indexClass(), 11)
 		var live []placement
 		steps := 600
 		if testing.Short() {
@@ -158,27 +141,26 @@ func TestIndexMatchesOracleRandomOps(t *testing.T) {
 			if len(live) > 0 && r.Float64() < 0.45 {
 				k := r.Intn(len(live))
 				p := live[k]
-				unplace(p.s, p.c, p.m)
+				f.release(p.id, p.c, p.m, 0)
 				live[k] = live[len(live)-1]
 				live = live[:len(live)-1]
 			} else {
 				c := opCores[r.Intn(len(opCores))]
 				m := opMem[r.Intn(len(opMem))]
 				pol := Policy(r.Intn(3))
-				s := ix.pick(c, m, pol, r.Intn(2) == 0)
-				if s != nil {
-					place(s, c, m)
-					live = append(live, placement{s, c, m})
+				if id := f.pick(c, m, pol, r.Intn(2) == 0); id != nilNode {
+					f.place(id, c, m, 0)
+					live = append(live, placement{id, c, m})
 				}
 			}
-			comparePicks(t, ix, servers, opCores[step%len(opCores)], opMem[step%len(opMem)])
+			comparePicks(t, &f, opCores[step%len(opCores)], opMem[step%len(opMem)])
 			if step%40 == 0 {
-				comparePicks(t, ix, servers, 0, 0)
-				comparePicks(t, ix, servers, 1e9, 1e9)
-				checkOracle(t, ix, servers)
+				comparePicks(t, &f, 0, 0)
+				comparePicks(t, &f, 1e9, 1e9)
+				checkOracle(t, &f)
 			}
 		}
-		checkOracle(t, ix, servers)
+		checkOracle(t, &f)
 	}
 }
 
@@ -187,41 +169,43 @@ func TestIndexMatchesOracleRandomOps(t *testing.T) {
 // as an integrity violation (stale key) and as a pick divergence.
 func TestAuditCatchesCorruptedIndex(t *testing.T) {
 	class := ServerClass{Name: "corrupt", Cores: 10, Memory: 100, LocalMemory: 100}
-	servers := makeServers(&class, 2)
-	ix := newPoolIndex(servers)
-	place(servers[0], 4, 40)
+	rec := audit.NewRecorder()
+	sim, err := NewSim("canary", Config{Base: class, NBase: 2, Policy: BestFit, Audit: rec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &sim.base
+	f.place(0, 4, 40, 0)
 
 	// Bypass the index: server 0 now has 1 core free, but the index
 	// still believes 6.
-	servers[0].coresFree -= 5
+	f.coresFree[0] -= 5
 
-	rec := audit.NewRecorder()
-	ix.auditIntegrity(rec, "canary")
-	if rec.Counts()["alloc/index-integrity"] == 0 {
-		t.Fatalf("stale index key not caught: %v", rec.Counts())
+	integrity := audit.NewRecorder()
+	f.ix.auditIntegrityCore(integrity, "canary", f.frontier, f.state)
+	if integrity.Counts()["alloc/index-integrity"] == 0 {
+		t.Fatalf("stale index key not caught: %v", integrity.Counts())
 	}
 
-	rec = audit.NewRecorder()
-	cfg := Config{Policy: BestFit}
-	got := pickFrom(rec, ix, servers, 6, 10, cfg)
+	got := sim.pickFrom(f, "base", 6, 10)
 	if rec.Counts()["alloc/index-divergence"] == 0 {
-		t.Fatalf("index/scan divergence not caught (picked %d): %v", srvID(got), rec.Counts())
+		t.Fatalf("index/scan divergence not caught (picked %d): %v", got, rec.Counts())
 	}
 }
 
 // TestIndexEmptyAndSinglePools covers the degenerate pool sizes the
-// simulator hands the index builder.
+// simulators hand the fleet.
 func TestIndexEmptyAndSinglePools(t *testing.T) {
-	if ix := newPoolIndex(nil); ix != nil {
-		t.Fatal("empty pool should have no index")
+	empty := newFleet(indexClass(), 0)
+	comparePicks(t, &empty, 2, 8)
+	if id := empty.pick(2, 8, BestFit, true); id != nilNode {
+		t.Fatalf("empty pool picked server %d", id)
 	}
-	class := indexClass()
-	servers := makeServers(&class, 1)
-	ix := newPoolIndex(servers)
-	comparePicks(t, ix, servers, 2, 8)
-	place(servers[0], 2, 8)
-	comparePicks(t, ix, servers, 2, 8)
-	comparePicks(t, ix, servers, 8, 64)
-	unplace(servers[0], 2, 8)
-	checkOracle(t, ix, servers)
+	f := newFleet(indexClass(), 1)
+	comparePicks(t, &f, 2, 8)
+	f.place(0, 2, 8, 0)
+	comparePicks(t, &f, 2, 8)
+	comparePicks(t, &f, 8, 64)
+	f.release(0, 2, 8, 0)
+	checkOracle(t, &f)
 }

@@ -39,17 +39,6 @@ type MultiConfig struct {
 	// SnapshotEvery controls utilisation snapshots (trace hours);
 	// zero defaults to 12h.
 	SnapshotEvery float64
-	// ReferenceScan selects the O(S) linear-scan reference allocator
-	// instead of the placement index, as in Config.ReferenceScan.
-	ReferenceScan bool
-	// Shards > 1 runs the replay as a pool-sharded pipeline (shard.go):
-	// the ordered pool list (greens, then baseline) is split across up
-	// to Shards concurrent stages, each VM flowing through the stages
-	// it is offered to. Results are identical to the sequential replay
-	// bit for bit — pools see the same offered streams either way; the
-	// differential suite proves it. 0 or 1 replays sequentially;
-	// values past the pool count are clamped.
-	Shards int
 }
 
 // MultiResult holds per-pool statistics.
@@ -70,14 +59,21 @@ func SimulateMulti(tr trace.Trace, mc MultiConfig, decide MultiDecider) (MultiRe
 }
 
 // SimulateMultiContext is SimulateMulti with cancellation, polled every
-// 1024 VMs like SimulateContext.
+// 1024 VMs like SimulateContext. Each pool is a columnar fleet
+// (colsim.go), so only the servers a replay touches are materialized.
 func SimulateMultiContext(ctx context.Context, tr trace.Trace, mc MultiConfig, decide MultiDecider) (MultiResult, error) {
 	if err := tr.Validate(); err != nil {
 		return MultiResult{}, err
 	}
 	base, greens := mc.Base, mc.Greens
+	if base.N < 0 {
+		return MultiResult{}, fmt.Errorf("alloc: baseline pool has negative size %d", base.N)
+	}
 	total := base.N
 	for _, g := range greens {
+		if g.N < 0 {
+			return MultiResult{}, fmt.Errorf("alloc: green pool %s has negative size %d", g.Class.Name, g.N)
+		}
 		total += g.N
 		if g.N > 0 && (g.Class.Cores <= 0 || g.Class.Memory <= 0) {
 			return MultiResult{}, fmt.Errorf("alloc: green pool %s has no capacity", g.Class.Name)
@@ -92,60 +88,33 @@ func SimulateMultiContext(ctx context.Context, tr trace.Trace, mc MultiConfig, d
 	if decide == nil {
 		decide = func(trace.VM) MultiDecision { return MultiDecision{} }
 	}
-	if stages := min(mc.Shards, len(greens)+1); stages > 1 {
-		return simulateMultiSharded(ctx, tr, mc, decide, stages)
-	}
-	cfg := Config{Policy: mc.Policy, PreferNonEmpty: mc.PreferNonEmpty}
 	snapEvery := mc.SnapshotEvery
 	if snapEvery <= 0 {
 		snapEvery = 12
 	}
 
-	baseSrvs := makeServers(&base.Class, base.N)
-	greenSrvs := make([][]*server, len(greens))
-	for i := range greens {
-		cls := greens[i].Class
-		greenSrvs[i] = makeServers(&cls, greens[i].N)
+	// pools[0] is the baseline; pools[i+1] is green pool i, which is
+	// also the pool number its departures carry.
+	pools := make([]fleet, len(greens)+1)
+	pools[0] = newFleet(base.Class, base.N)
+	for i, g := range greens {
+		pools[i+1] = newFleet(g.Class, g.N)
 	}
-
-	var baseIx *poolIndex
-	greenIxs := make([]*poolIndex, len(greens))
-	if !mc.ReferenceScan && !testIgnoreCapacity {
-		baseIx = newPoolIndex(baseSrvs)
-		for i := range greens {
-			greenIxs[i] = newPoolIndex(greenSrvs[i])
-		}
-	}
+	aggs := make([]aggregator, len(pools))
 
 	var deps depHeap
 	var res MultiResult
-	baseAgg := newAggregator()
-	greenAggs := make([]*aggregator, len(greens))
-	for i := range greenAggs {
-		greenAggs[i] = newAggregator()
-	}
 	nextSnap := snapEvery
 
 	release := func(until float64) {
 		for len(deps) > 0 && deps[0].at <= until {
 			d := depPop(&deps)
-			s := d.srv
-			if s.ix != nil {
-				s.ix.detach(s)
-			}
-			s.coresFree += d.cores
-			s.memFree += d.mem
-			s.vms--
-			s.maxMemTouched -= d.touched
-			if s.ix != nil {
-				s.ix.attach(s)
-			}
+			pools[d.pool].release(d.id, d.cores, d.mem, d.touched)
 		}
 	}
 	observe := func() {
-		baseAgg.observe(baseSrvs)
-		for i := range greens {
-			greenAggs[i].observe(greenSrvs[i])
+		for i := range pools {
+			pools[i].observeInto(&aggs[i])
 		}
 		res.Snapshots++
 	}
@@ -163,64 +132,43 @@ func SimulateMultiContext(ctx context.Context, tr trace.Trace, mc MultiConfig, d
 		}
 		release(vm.Arrive)
 
-		var placedSrv *server
+		pool, placed := int32(0), nilNode
 		var cores, mem float64
 		if vm.FullNode {
 			// The multi-pool full-node rule takes the first empty
 			// baseline server unconditionally (no capacity check).
-			if baseIx != nil {
-				placedSrv = baseIx.firstEmpty()
-			} else {
-				for _, s := range baseSrvs {
-					if s.vms == 0 {
-						placedSrv = s
-						break
-					}
-				}
-			}
-			if placedSrv != nil {
-				cores = float64(placedSrv.class.Cores)
-				mem = float64(placedSrv.class.Memory)
-			}
+			placed = pools[0].firstEmpty()
+			cores, mem = pools[0].capC, pools[0].capM
 		} else {
 			d := decide(vm)
-			for i := range greens {
-				if i >= len(d.Scales) || d.Scales[i] <= 0 {
+			for g := range greens {
+				if g >= len(d.Scales) || d.Scales[g] <= 0 {
 					continue
 				}
-				scale := d.Scales[i]
+				scale := d.Scales[g]
 				if scale < 1 {
 					scale = 1
 				}
 				cores = float64(vm.Cores) * scale
 				mem = float64(vm.Memory) * scale
-				placedSrv = pickFrom(nil, greenIxs[i], greenSrvs[i], cores, mem, cfg)
-				if placedSrv != nil {
+				if placed = pools[g+1].pick(cores, mem, mc.Policy, mc.PreferNonEmpty); placed != nilNode {
+					pool = int32(g + 1)
 					break
 				}
 			}
-			if placedSrv == nil {
+			if placed == nilNode {
 				cores = float64(vm.Cores)
 				mem = float64(vm.Memory)
-				placedSrv = pickFrom(nil, baseIx, baseSrvs, cores, mem, cfg)
+				placed = pools[0].pick(cores, mem, mc.Policy, mc.PreferNonEmpty)
 			}
 		}
-		if placedSrv == nil {
+		if placed == nilNode {
 			res.Rejected++
 			continue
 		}
 		touched := mem * vm.MaxMemFrac
-		if placedSrv.ix != nil {
-			placedSrv.ix.detach(placedSrv)
-		}
-		placedSrv.coresFree -= cores
-		placedSrv.memFree -= mem
-		placedSrv.vms++
-		placedSrv.maxMemTouched += touched
-		if placedSrv.ix != nil {
-			placedSrv.ix.attach(placedSrv)
-		}
-		depPush(&deps, departure{at: vm.Depart, srv: placedSrv, cores: cores, mem: mem, touched: touched})
+		pools[pool].place(placed, cores, mem, touched)
+		depPush(&deps, departure{at: vm.Depart, cores: cores, mem: mem, touched: touched, id: placed, pool: pool})
 		res.Placed++
 	}
 	for nextSnap <= tr.Horizon {
@@ -231,10 +179,10 @@ func SimulateMultiContext(ctx context.Context, tr trace.Trace, mc MultiConfig, d
 	release(tr.Horizon)
 	observe()
 
-	res.Base = baseAgg.stats()
+	res.Base = aggs[0].stats()
 	res.Green = make([]ClassStats, len(greens))
 	for i := range greens {
-		res.Green[i] = greenAggs[i].stats()
+		res.Green[i] = aggs[i+1].stats()
 	}
 	return res, nil
 }

@@ -123,4 +123,13 @@ func TestMultiValidation(t *testing.T) {
 	if _, err := SimulateMulti(tr, MultiConfig{Base: Pool{Class: baseClass(), N: 1}, Greens: bad}, nil); err == nil {
 		t.Error("accepted a zero-capacity green pool")
 	}
+	// Negative pool sizes are errors, not panics.
+	green := []Pool{{Class: greenClass(), N: 5}}
+	if _, err := SimulateMulti(tr, MultiConfig{Base: Pool{Class: baseClass(), N: -1}, Greens: green}, nil); err == nil {
+		t.Error("accepted a negative baseline pool")
+	}
+	negGreen := []Pool{{Class: greenClass(), N: 5}, {Class: greenClass(), N: -3}}
+	if _, err := SimulateMulti(tr, MultiConfig{Base: Pool{Class: baseClass(), N: 4}, Greens: negGreen}, nil); err == nil {
+		t.Error("accepted a negative green pool")
+	}
 }

@@ -135,7 +135,7 @@ func (s *Sim) Snapshot(w io.Writer) error {
 		p.f64(d.mem)
 		p.f64(d.touched)
 		p.uvarint(uint64(d.id))
-		p.bool(d.green)
+		p.bool(d.pool != 0)
 	}
 
 	payload := p.buf.Bytes()
@@ -434,7 +434,7 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 	if nDeps > uint64(len(payload)) { // each departure is >= 34 bytes
 		return nil, r.fail("departure count")
 	}
-	s.deps = make(colDepHeap, nDeps)
+	s.deps = make(depHeap, nDeps)
 	for i := range s.deps {
 		d := &s.deps[i]
 		if d.at, err = r.f64("departure time"); err != nil {
@@ -453,12 +453,13 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 		if err != nil {
 			return nil, err
 		}
-		if d.green, err = r.bool("departure pool"); err != nil {
+		green, err := r.bool("departure pool")
+		if err != nil {
 			return nil, err
 		}
 		f := &s.base
-		if d.green {
-			f = &s.green
+		if green {
+			d.pool, f = 1, &s.green
 		}
 		if id >= uint64(f.frontier) {
 			return nil, r.fail("departure names an untouched server")

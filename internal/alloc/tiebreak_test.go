@@ -1,18 +1,36 @@
 package alloc
 
 // Table tests for the policies' tie-breaking, run against both the
-// reference scan and the placement index. WorstFit historically broke
+// fleet's linear scan and its placement index. WorstFit historically broke
 // ties arbitrarily (first server scanned with the max free cores);
 // it now mirrors BestFit's two-level break symmetrically: most free
 // cores, then most free memory, then first index.
 
 import "testing"
 
-func TestPolicyTieBreaking(t *testing.T) {
-	type srvState struct {
-		cores, mem float64
-		vms        int
+// srvState is one materialized server's free capacity and occupancy.
+type srvState struct {
+	cores, mem float64
+	vms        int32
+}
+
+// fleetOf builds a fleet whose servers are all materialized in the
+// given states and attached to the index.
+func fleetOf(class ServerClass, states []srvState) fleet {
+	f := newFleet(class, len(states))
+	for _, st := range states {
+		f.coresFree = append(f.coresFree, st.cores)
+		f.memFree = append(f.memFree, st.mem)
+		f.vms = append(f.vms, st.vms)
+		f.touched = append(f.touched, 0)
+		f.ix.grow(f.frontier + 1)
+		f.ix.attachID(f.frontier, st.cores, st.mem, st.vms > 0)
+		f.frontier++
 	}
+	return f
+}
+
+func TestPolicyTieBreaking(t *testing.T) {
 	cases := []struct {
 		name   string
 		pol    Policy
@@ -97,18 +115,11 @@ func TestPolicyTieBreaking(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			class := ServerClass{Name: "tie", Cores: 8, Memory: 64, LocalMemory: 64}
-			servers := makeServers(&class, len(tc.srvs))
-			for i, st := range tc.srvs {
-				servers[i].coresFree = st.cores
-				servers[i].memFree = st.mem
-				servers[i].vms = st.vms
+			f := fleetOf(class, tc.srvs)
+			if got := f.scanPick(tc.c, tc.m, tc.pol, tc.prefer); got != tc.want {
+				t.Errorf("linear scan chose server %d, want %d", got, tc.want)
 			}
-			cfg := Config{Policy: tc.pol, PreferNonEmpty: tc.prefer}
-			if got := srvID(pick(servers, tc.c, tc.m, cfg)); got != tc.want {
-				t.Errorf("reference scan chose server %d, want %d", got, tc.want)
-			}
-			ix := newPoolIndex(servers)
-			if got := srvID(ix.pick(tc.c, tc.m, tc.pol, tc.prefer)); got != tc.want {
+			if got := f.pick(tc.c, tc.m, tc.pol, tc.prefer); got != tc.want {
 				t.Errorf("index chose server %d, want %d", got, tc.want)
 			}
 		})

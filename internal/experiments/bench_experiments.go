@@ -1,46 +1,27 @@
 package experiments
 
-// Performance benchmarks with a machine-readable trajectory: the
-// ROADMAP's north star wants the hot paths to run as fast as the
+// Performance benchmark results with a machine-readable trajectory:
+// the ROADMAP's north star wants the hot paths to run as fast as the
 // hardware allows, which needs a recorded baseline to regress against.
-// AllocSweepBench times the 35-trace allocation sweep through the
-// placement index and through the reference linear scan — verifying
-// bit-identical Results while it is at it — and QueueBench times the
-// queueing saturation curve behind Figs. 7–8. cmd/gsfbench packages
-// both into BENCH_alloc.json so CI can archive the numbers and gate on
-// the index actually being faster.
+// cmd/gsfbench times the allocation sweep and the large-fleet replay
+// against the internal/oracle linear scan (that timing lives in the
+// command, so this package stays oracle-free) and records them here as
+// AllocBenchResult and AllocScaleResult rows; QueueBench times the
+// queueing saturation curve behind Figs. 7–8 and QueueKernelBench the
+// Table III profiling sweep. The artifact writers below give CI the
+// numbers to archive and gate on.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
-	"github.com/greensku/gsf/internal/alloc"
 	"github.com/greensku/gsf/internal/hw"
 	"github.com/greensku/gsf/internal/perf"
 	"github.com/greensku/gsf/internal/queueing"
-	"github.com/greensku/gsf/internal/trace"
 )
-
-// AllocBenchOptions sizes the allocation sweep benchmark.
-type AllocBenchOptions struct {
-	// Traces caps how many of the 35 production-suite traces to
-	// replay; 0 or anything >= 35 runs the full suite.
-	Traces int
-	// ServersPerClass is the pool size for both the baseline and the
-	// GreenSKU class; 0 defaults to 10000, the scale the acceptance
-	// target is defined at.
-	ServersPerClass int
-	Policy          alloc.Policy
-	// Shards > 1 replays both timed arms through the pool-sharded
-	// multi-pool pipeline (alloc.MultiConfig.Shards) instead of the
-	// single-pool simulator. Decisions and statistics are bit-identical
-	// either way; only the timings move.
-	Shards int
-}
 
 // AllocBenchResult is the allocation sweep's measurement.
 type AllocBenchResult struct {
@@ -48,7 +29,6 @@ type AllocBenchResult struct {
 	VMs               int     `json:"vms"`
 	ServersPerClass   int     `json:"servers_per_class"`
 	Policy            string  `json:"policy"`
-	Shards            int     `json:"shards"`
 	IndexedSeconds    float64 `json:"indexed_seconds"`
 	ReferenceSeconds  float64 `json:"reference_seconds"`
 	Speedup           float64 `json:"speedup"`
@@ -57,125 +37,19 @@ type AllocBenchResult struct {
 	Rejected          int     `json:"rejected"`
 }
 
-// benchDecider adopts most VMs with fractional scaling factors so the
-// sweep exercises both pools and non-integral free capacities — the
-// same shape the differential suite uses.
-func benchDecider(vm trace.VM) alloc.Decision {
-	return alloc.Decision{Adopt: vm.ID%10 < 7, Scale: 1 + 0.1*float64(vm.ID%3)}
-}
-
-// AllocSweepBench replays the production trace suite through the
-// indexed allocator and the reference scan, times both serially, and
-// checks the two produce bit-identical Results trace by trace.
-func AllocSweepBench(ctx context.Context, opt AllocBenchOptions) (AllocBenchResult, error) {
-	traces, err := trace.ProductionSuite()
-	if err != nil {
-		return AllocBenchResult{}, err
-	}
-	if opt.Traces > 0 && opt.Traces < len(traces) {
-		traces = traces[:opt.Traces]
-	}
-	n := opt.ServersPerClass
-	if n <= 0 {
-		n = 10000
-	}
-	base := hw.BaselineGen3()
-	green := hw.GreenSKUFull()
-	cfg := alloc.Config{
-		Base:   alloc.ServerClass{Name: base.Name, Cores: base.Cores(), Memory: base.TotalDRAMGB(), LocalMemory: base.LocalDRAMGB()},
-		NBase:  n,
-		Green:  alloc.ServerClass{Name: green.Name, Cores: green.Cores(), Memory: green.TotalDRAMGB(), LocalMemory: green.LocalDRAMGB(), Green: true},
-		NGreen: n,
-		Policy: opt.Policy, PreferNonEmpty: true,
-	}
-	simulate := func(tr trace.Trace, reference bool) (alloc.Result, error) {
-		if opt.Shards > 1 {
-			mres, err := alloc.SimulateMultiContext(ctx, tr, alloc.MultiConfig{
-				Base:           alloc.Pool{Class: cfg.Base, N: cfg.NBase},
-				Greens:         []alloc.Pool{{Class: cfg.Green, N: cfg.NGreen}},
-				Policy:         cfg.Policy,
-				PreferNonEmpty: cfg.PreferNonEmpty,
-				ReferenceScan:  reference,
-				Shards:         opt.Shards,
-			}, func(vm trace.VM) alloc.MultiDecision {
-				d := benchDecider(vm)
-				scale := 0.0
-				if d.Adopt {
-					scale = d.Scale
-				}
-				return alloc.MultiDecision{Scales: []float64{scale}}
-			})
-			if err != nil {
-				return alloc.Result{}, err
-			}
-			return alloc.Result{
-				Placed:    mres.Placed,
-				Rejected:  mres.Rejected,
-				Base:      mres.Base,
-				Green:     mres.Green[0],
-				Snapshots: mres.Snapshots,
-			}, nil
-		}
-		c := cfg
-		c.ReferenceScan = reference
-		return alloc.SimulateContext(ctx, tr, c, benchDecider)
-	}
-	run := func(reference bool) ([]alloc.Result, float64, error) {
-		out := make([]alloc.Result, 0, len(traces))
-		start := time.Now()
-		for _, tr := range traces {
-			res, err := simulate(tr, reference)
-			if err != nil {
-				return nil, 0, err
-			}
-			out = append(out, res)
-		}
-		return out, time.Since(start).Seconds(), nil
-	}
-
-	indexed, indexedSec, err := run(false)
-	if err != nil {
-		return AllocBenchResult{}, err
-	}
-	reference, referenceSec, err := run(true)
-	if err != nil {
-		return AllocBenchResult{}, err
-	}
-
-	res := AllocBenchResult{
-		Traces:            len(traces),
-		ServersPerClass:   n,
-		Policy:            cfg.Policy.String(),
-		Shards:            opt.Shards,
-		IndexedSeconds:    indexedSec,
-		ReferenceSeconds:  referenceSec,
-		DecisionIdentical: true,
-	}
-	if indexedSec > 0 {
-		res.Speedup = referenceSec / indexedSec
-	}
-	for i := range traces {
-		res.VMs += len(traces[i].VMs)
-		res.Placed += indexed[i].Placed
-		res.Rejected += indexed[i].Rejected
-		if !allocResultsIdentical(indexed[i], reference[i]) {
-			res.DecisionIdentical = false
-		}
-	}
-	return res, nil
-}
-
-// allocResultsIdentical compares two Results bit-for-bit (NaN equals
-// NaN; -0 differs from +0).
-func allocResultsIdentical(a, b alloc.Result) bool {
-	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	stats := func(x, y alloc.ClassStats) bool {
-		return same(x.CorePacking, y.CorePacking) && same(x.MemPacking, y.MemPacking) &&
-			same(x.MaxMemUtil, y.MaxMemUtil) && same(x.CXLServedFrac, y.CXLServedFrac) &&
-			same(x.LocalFitsFrac, y.LocalFitsFrac)
-	}
-	return a.Placed == b.Placed && a.Rejected == b.Rejected && a.Snapshots == b.Snapshots &&
-		stats(a.Base, b.Base) && stats(a.Green, b.Green)
+// AllocScaleResult is one row of the artifact's scale table: the
+// columnar streaming replay against the oracle at a large fleet size.
+type AllocScaleResult struct {
+	Traces            int     `json:"traces"`
+	VMs               int     `json:"vms"`
+	ServersPerClass   int     `json:"servers_per_class"`
+	Policy            string  `json:"policy"`
+	ColumnarSeconds   float64 `json:"columnar_seconds"`
+	ReferenceSeconds  float64 `json:"reference_seconds"`
+	Speedup           float64 `json:"speedup"`
+	DecisionIdentical bool    `json:"decision_identical"`
+	Placed            int     `json:"placed"`
+	Rejected          int     `json:"rejected"`
 }
 
 // QueueBenchOptions sizes the queueing saturation-curve benchmark.
@@ -414,10 +288,10 @@ func WriteQueueArtifact(w io.Writer, a QueueArtifact) error {
 }
 
 // BenchArtifact is the BENCH_alloc.json schema: one allocation sweep
-// measurement plus one queueing curve, versioned so future PRs can
+// measurement plus one queueing curve, versioned so later changes can
 // extend it without breaking readers. Scale is the additive
-// large-fleet table (AllocScaleBench rows, e.g. the million-server
-// row); absent when the suite ran without a scale size.
+// large-fleet table (e.g. the million-server row); absent when the
+// suite ran without a scale size.
 type BenchArtifact struct {
 	Schema   string             `json:"schema"`
 	Alloc    AllocBenchResult   `json:"alloc"`
@@ -437,6 +311,27 @@ func WriteBenchArtifact(w io.Writer, a BenchArtifact) error {
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(a); err != nil {
 		return fmt.Errorf("experiments: encoding bench artifact: %w", err)
+	}
+	return nil
+}
+
+// ScaleArtifact is the standalone scale-suite artifact (CI's
+// bench-scale upload); the same rows also ride along in
+// BenchArtifact.Scale when the alloc suite runs with a scale size.
+type ScaleArtifact struct {
+	Schema string             `json:"schema"`
+	Scale  []AllocScaleResult `json:"scale"`
+}
+
+// WriteScaleArtifact encodes the artifact as indented JSON.
+func WriteScaleArtifact(w io.Writer, a ScaleArtifact) error {
+	if a.Schema == "" {
+		a.Schema = BenchSchema
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(a); err != nil {
+		return fmt.Errorf("experiments: encoding scale artifact: %w", err)
 	}
 	return nil
 }

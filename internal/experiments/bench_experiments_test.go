@@ -1,45 +1,14 @@
 package experiments
 
-// Small-scale checks of the benchmark harness. Speedup magnitudes are
-// hardware-dependent (and under the test binary's audit recorder every
-// indexed pick is cross-checked against the scan), so these assert
-// structure and decision-identity, not timing; cmd/gsfbench enforces
-// the speedup gate in CI where auditing is off.
+// Small-scale checks of the benchmark harness and its artifact
+// encoding. Timings are hardware-dependent, so these assert structure,
+// not speed; cmd/gsfbench enforces the speedup gates in CI.
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"testing"
-
-	"github.com/greensku/gsf/internal/alloc"
 )
-
-func TestAllocSweepBenchSmall(t *testing.T) {
-	res, err := AllocSweepBench(context.Background(), AllocBenchOptions{
-		Traces:          2,
-		ServersPerClass: 40,
-		Policy:          alloc.BestFit,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Traces != 2 || res.ServersPerClass != 40 {
-		t.Fatalf("options not honoured: %+v", res)
-	}
-	if !res.DecisionIdentical {
-		t.Fatal("indexed and reference allocators diverged")
-	}
-	if res.Placed == 0 || res.VMs == 0 {
-		t.Fatalf("degenerate sweep: %+v", res)
-	}
-	if res.IndexedSeconds <= 0 || res.ReferenceSeconds <= 0 || res.Speedup <= 0 {
-		t.Fatalf("timings not recorded: %+v", res)
-	}
-	if res.Policy != "best-fit" {
-		t.Fatalf("policy label %q", res.Policy)
-	}
-}
 
 func TestQueueBenchAndArtifactRoundTrip(t *testing.T) {
 	q, err := QueueBench(QueueBenchOptions{Servers: 8, Steps: 3, Seed: 11})
