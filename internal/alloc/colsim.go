@@ -424,17 +424,34 @@ func (s *Sim) observe() {
 // is validated on the way in (trace.CheckVM), so malformed streams are
 // rejected at the first bad event with the same message Validate gives.
 func (s *Sim) Step(vm trace.VM) error {
+	if err := s.advance(vm); err != nil {
+		return err
+	}
+	s.admit(vm)
+	return nil
+}
+
+// advance is Step up to the arrival's placement: it validates the VM,
+// then takes the snapshots and releases the departures due by its
+// arrival time.
+func (s *Sim) advance(vm trace.VM) error {
 	if err := trace.CheckVM(s.name, s.events, s.lastArrive, vm); err != nil {
 		return err
 	}
-	// Take snapshots and release departed VMs up to this arrival.
 	for s.nextSnap <= vm.Arrive {
 		s.release(s.nextSnap)
 		s.observe()
 		s.nextSnap += s.snapEvery
 	}
 	s.release(vm.Arrive)
+	return nil
+}
 
+// admit is the rest of Step: it places or rejects a VM that advance
+// has brought the simulator up to. Until the placement itself it only
+// reads the simulator's state, so a probe can clone the simulator at
+// an opening (recordOpening) and re-admit the same VM into the clone.
+func (s *Sim) admit(vm trace.VM) {
 	d := s.decide(vm)
 	if d.Scale < 1 {
 		d.Scale = 1
@@ -474,7 +491,7 @@ func (s *Sim) Step(vm trace.VM) error {
 		}
 		s.lastArrive = vm.Arrive
 		s.events++
-		return nil
+		return
 	}
 	f := &s.base
 	if placedGreen {
@@ -513,7 +530,6 @@ func (s *Sim) Step(vm trace.VM) error {
 	}
 	s.lastArrive = vm.Arrive
 	s.events++
-	return nil
 }
 
 // pickFrom picks through the index; with auditing on, the decision is

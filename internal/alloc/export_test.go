@@ -18,3 +18,16 @@ func ObservePlacements(fn func(vmID int, green bool, serverID int32)) (remove fu
 	testObserve = fn
 	return func() { testObserve = nil }
 }
+
+// CorruptResumes corrupts every probe resumed with its pools capped at
+// a (nBase, nGreen) that match accepts: the resumed clone starts out
+// having rejected a VM, so it reports that the cluster does not host
+// the trace. It returns a func that removes the corruption.
+func CorruptResumes(match func(nBase, nGreen int) bool) (remove func()) {
+	testResume = func(s *Sim) {
+		if match(s.cfg.NBase, s.cfg.NGreen) {
+			s.res.Rejected++
+		}
+	}
+	return func() { testResume = nil }
+}

@@ -27,10 +27,37 @@ package alloc
 // A Probe records, per opened id, whether its opening was forced, so a
 // caller searching for the smallest pool can answer every n >= k and
 // every forced n < k without replaying.
+//
+// The unforced n < k still need a replay, but not from the first
+// event: up to the event that opens id n, the capped replay is the
+// uncapped one. So while the uncapped replay runs, the Probe keeps
+// checkpoints — in-memory clones of the simulator — at unforced
+// openings, and a probe at n clones the last checkpoint at or before
+// the opening of id n, caps the pool at n, re-admits that
+// checkpoint's VM and steps on from there. Any checkpoint before the
+// divergence serves: the two replays agree at every earlier event.
+// A checkpoint is taken inside the opening's Step, after the releases
+// and snapshots due by the VM's arrival and before its placement: the
+// pick is where the two replays part, and everything before it is
+// shared. Until the placement, Step only reads the simulator
+// (Sim.admit), so the clone is exactly the state the capped replay
+// reaches.
+//
+// A checkpoint costs O(touched servers + live VMs). Kept at every
+// unforced opening, they would cost O(unforced openings × (touched
+// servers + live VMs)) — quadratic in the cluster size, since both
+// grow with it. So a replay keeps at most maxCheckpoints of them,
+// evenly spread over its unforced openings (see checkpoints), which
+// bounds their memory to a constant multiple of the simulator's own;
+// a probe whose opening lost its checkpoint replays a little longer
+// from an earlier one. Audited sizing still replays every probe from
+// the first event and checks the resumed answer against it
+// (internal/cluster).
 
 import (
 	"context"
 	"math"
+	"slices"
 
 	"github.com/greensku/gsf/internal/trace"
 )
@@ -52,6 +79,64 @@ type Probe struct {
 	// baseline pool of that size (its touched servers, plus a virgin
 	// when the pool has room for one).
 	GreenOpened []int32
+
+	// baseAt and greenAt parallel BaseOpened and GreenOpened: the
+	// index in the trace of the VM whose placement opened the server.
+	baseAt, greenAt []int32
+	// cps are the replay's checkpoints, in trace order.
+	cps checkpoints
+}
+
+// maxCheckpoints bounds the checkpoints one replay keeps, and so their
+// memory to that many simulators. It must be even (checkpoints.offer).
+// Most week-long replays of a few dozen servers stay within it.
+const maxCheckpoints = 16
+
+// checkpoints keeps at most max clones of a replay's simulator, taken
+// at every stride-th opening offered. When full, it drops every other
+// clone and doubles the stride, so the kept clones stay evenly spread
+// over the openings seen so far and the first is always kept.
+type checkpoints struct {
+	at     []*Sim
+	max    int
+	stride int
+	seen   int
+}
+
+// offer clones s if the opening is one the stride keeps.
+func (c *checkpoints) offer(s *Sim) {
+	j := c.seen
+	c.seen++
+	if j%c.stride != 0 {
+		return
+	}
+	if len(c.at) == c.max {
+		// Keep the clones at multiples of the doubled stride, the even
+		// positions; the one on offer (j = max*stride) is among them.
+		n := len(c.at)
+		for i := 0; 2*i < n; i++ {
+			c.at[i] = c.at[2*i]
+		}
+		clear(c.at[(n+1)/2 : n])
+		c.at = c.at[:(n+1)/2]
+		c.stride *= 2
+	}
+	c.at = append(c.at, s.clone())
+}
+
+// before returns the last checkpoint taken at or before the trace's
+// event i, or nil if there is none.
+func (c *checkpoints) before(i int32) *Sim {
+	k, _ := slices.BinarySearchFunc(c.at, i, func(s *Sim, i int32) int {
+		if s.events <= int(i) {
+			return -1
+		}
+		return 1
+	})
+	if k == 0 {
+		return nil
+	}
+	return c.at[k-1]
 }
 
 // BaseHosts answers whether the replay's cluster with its baseline
@@ -86,12 +171,63 @@ func (p *Probe) GreenHosts(nBase, n int) (hosts, known bool) {
 	return false, false
 }
 
+// ResumeBase replays the cluster with its baseline pool capped at n
+// servers from the last checkpoint at or before the replay's opening
+// of baseline id n, and reports whether it hosts the trace. tr must
+// be the trace the probe replayed. ok is false when there is no such
+// checkpoint, as when the replay never opened id n (BaseHosts answers
+// that).
+func (p *Probe) ResumeBase(ctx context.Context, tr trace.Trace, n int) (hosts, ok bool, err error) {
+	cp := p.resumeBase(n)
+	if cp == nil {
+		return false, false, nil
+	}
+	hosts, err = cp.resume(ctx, tr, n, cp.cfg.NGreen)
+	return hosts, true, err
+}
+
+// ResumeGreen is ResumeBase for the cluster with nBase baseline and n
+// green servers, from the last checkpoint at or before the replay's
+// opening of green id n. Under GreenHosts's precondition — nBase
+// between len(BaseOpened) and the replay's baseline pool size — the
+// baseline pool behaves as in the replay up to that opening; outside
+// it ok is false.
+func (p *Probe) ResumeGreen(ctx context.Context, tr trace.Trace, nBase, n int) (hosts, ok bool, err error) {
+	cp := p.resumeGreen(n)
+	if cp == nil || nBase < len(p.BaseOpened) || nBase > cp.cfg.NBase {
+		return false, false, nil
+	}
+	hosts, err = cp.resume(ctx, tr, nBase, n)
+	return hosts, true, err
+}
+
+// resumeBase and resumeGreen return the checkpoint a probe at n
+// resumes from, or nil.
+func (p *Probe) resumeBase(n int) *Sim {
+	if n < 0 || n >= len(p.baseAt) {
+		return nil
+	}
+	return p.cps.before(p.baseAt[n])
+}
+
+func (p *Probe) resumeGreen(n int) *Sim {
+	if n < 0 || n >= len(p.greenAt) {
+		return nil
+	}
+	return p.cps.before(p.greenAt[n])
+}
+
 // ProbeContext replays the trace through the columnar simulator and
 // records every server opening. Without an audit checker it stops at
 // the first rejection, since a sizing search needs only whether the
 // cluster hosts the trace. With one it runs to the horizon, so every
 // alloc audit still fires.
 func ProbeContext(ctx context.Context, tr trace.Trace, cfg Config, decide Decider) (Probe, error) {
+	return probeContext(ctx, tr, cfg, decide, maxCheckpoints)
+}
+
+// probeContext is ProbeContext keeping at most budget checkpoints.
+func probeContext(ctx context.Context, tr trace.Trace, cfg Config, decide Decider, budget int) (Probe, error) {
 	if err := tr.Validate(); err != nil {
 		return Probe{}, err
 	}
@@ -99,23 +235,89 @@ func ProbeContext(ctx context.Context, tr trace.Trace, cfg Config, decide Decide
 	if err != nil {
 		return Probe{}, err
 	}
-	var p Probe
+	p := Probe{cps: checkpoints{max: budget, stride: 1}}
 	sim.rec = &p
-	for i, vm := range tr.VMs {
+	if p.Hosts, err = sim.probeFrom(ctx, tr, 0); err != nil || !p.Hosts {
+		return Probe{}, err
+	}
+	return p, nil
+}
+
+// HostsContext reports whether the cluster hosts the trace, as
+// ProbeContext's Hosts does, from a replay that records nothing.
+func HostsContext(ctx context.Context, tr trace.Trace, cfg Config, decide Decider) (bool, error) {
+	if err := tr.Validate(); err != nil {
+		return false, err
+	}
+	sim, err := NewSim(tr.Name, cfg, decide)
+	if err != nil {
+		return false, err
+	}
+	return sim.probeFrom(ctx, tr, 0)
+}
+
+// probeFrom steps tr.VMs[i:] through the simulator and reports whether
+// the replay hosts the trace, stopping at the first rejection unless
+// audited.
+func (s *Sim) probeFrom(ctx context.Context, tr trace.Trace, i int) (bool, error) {
+	for ; i < len(tr.VMs); i++ {
 		if i&1023 == 0 {
 			if err := ctx.Err(); err != nil {
-				return Probe{}, err
+				return false, err
 			}
 		}
-		if err := sim.Step(vm); err != nil {
-			return Probe{}, err
+		if err := s.Step(tr.VMs[i]); err != nil {
+			return false, err
 		}
-		if sim.res.Rejected > 0 && sim.chk == nil {
-			return Probe{}, nil
+		if s.res.Rejected > 0 && s.chk == nil {
+			return false, nil
 		}
 	}
-	p.Hosts = sim.Finish(tr.Horizon).Rejected == 0
-	return p, nil
+	return s.Finish(tr.Horizon).Rejected == 0, nil
+}
+
+// resume runs a probe from the checkpoint s, left untouched, on a
+// clone with the pools capped at nBase and nGreen servers. Both the
+// configuration and the fleets take the caps: admit offers the green
+// pool only when cfg.NGreen > 0.
+func (s *Sim) resume(ctx context.Context, tr trace.Trace, nBase, nGreen int) (bool, error) {
+	c := s.clone()
+	c.cfg.NBase, c.cfg.NGreen = nBase, nGreen
+	c.base.n, c.green.n = int32(nBase), int32(nGreen)
+	if testResume != nil {
+		testResume(c)
+	}
+	i := c.events
+	c.admit(tr.VMs[i])
+	if c.res.Rejected > 0 && c.chk == nil {
+		return false, nil
+	}
+	return c.probeFrom(ctx, tr, i+1)
+}
+
+// testResume, when non-nil, sees every resumed clone before it steps.
+// Tests use it to corrupt a checkpoint; never set it outside a test.
+var testResume func(*Sim)
+
+// clone returns an independent copy of the simulator. It shares no
+// mutable state with s, and it does not record openings.
+func (s *Sim) clone() *Sim {
+	c := *s
+	c.base, c.green = s.base.clone(), s.green.clone()
+	c.deps = slices.Clone(s.deps)
+	c.rec = nil
+	return &c
+}
+
+func (f *fleet) clone() fleet {
+	c := *f
+	c.coresFree = slices.Clone(f.coresFree)
+	c.memFree = slices.Clone(f.memFree)
+	c.vms = slices.Clone(f.vms)
+	c.touched = slices.Clone(f.touched)
+	c.ix.nodes = slices.Clone(f.ix.nodes)
+	c.ix.seg = slices.Clone(f.ix.seg)
+	return c
 }
 
 // touchedWinner is the server pick would choose from the touched
@@ -136,6 +338,10 @@ func (s *Sim) recordOpening(vm trace.VM, green bool, cores, mem float64) {
 		// empty, so its openings are always forced.
 		forced := vm.FullNode || s.base.touchedWinner(cores, mem, pol, pne) == nilNode
 		s.rec.BaseOpened = append(s.rec.BaseOpened, forced)
+		s.rec.baseAt = append(s.rec.baseAt, int32(s.events))
+		if !forced {
+			s.rec.cps.offer(s)
+		}
 		return
 	}
 	upTo := int32(-1)
@@ -151,4 +357,8 @@ func (s *Sim) recordOpening(vm trace.VM, green bool, cores, mem float64) {
 		}
 	}
 	s.rec.GreenOpened = append(s.rec.GreenOpened, upTo)
+	s.rec.greenAt = append(s.rec.greenAt, int32(s.events))
+	if upTo != math.MaxInt32 {
+		s.rec.cps.offer(s)
+	}
 }

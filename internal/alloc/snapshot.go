@@ -19,11 +19,14 @@ package alloc
 // (checkpoint state is drifted mid-computation data, where exactness
 // matters and round-number compression does not), counts as uvarints.
 // The departure heap is written in backing-array order and restored
-// verbatim, preserving the pop order of equal-time departures.
+// verbatim, preserving the pop order of equal-time departures. Every
+// state has exactly one encoding: Restore refuses overlong varints, so
+// an accepted checkpoint re-encodes to the same bytes.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -165,7 +168,7 @@ func (r *snapReader) fail(what string) error {
 
 func (r *snapReader) uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.b[r.off+n-1] == 0) { // malformed or overlong
 		return 0, r.fail(what)
 	}
 	r.off += n
@@ -240,6 +243,11 @@ func (r *snapReader) fleet(f *fleet) error {
 	if frontier > uint64(f.n) {
 		return r.fail("frontier past pool size")
 	}
+	// Each server takes at least 25 payload bytes, so a corrupted
+	// frontier cannot demand more columns than the payload holds.
+	if frontier > uint64(len(r.b)-r.off)/25 {
+		return r.fail("fleet frontier")
+	}
 	n := int32(frontier)
 	f.coresFree = make([]float64, n)
 	f.memFree = make([]float64, n)
@@ -256,7 +264,7 @@ func (r *snapReader) fleet(f *fleet) error {
 		if err != nil {
 			return err
 		}
-		if vms > 1<<31 {
+		if vms > math.MaxInt32 {
 			return r.fail("server vm count")
 		}
 		f.vms[id] = int32(vms)
@@ -327,14 +335,14 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 		return nil, fmt.Errorf("alloc: not a GSFS snapshot (magic %q)", magic[:])
 	}
 	br := byteReaderOf(rd)
-	version, err := binary.ReadUvarint(br)
+	version, err := readUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("alloc: reading snapshot version: %w", err)
 	}
 	if version != snapVersion {
 		return nil, fmt.Errorf("alloc: unsupported snapshot version %d (have %d)", version, snapVersion)
 	}
-	plen, err := binary.ReadUvarint(br)
+	plen, err := readUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("alloc: reading snapshot length: %w", err)
 	}
@@ -346,8 +354,13 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 		return nil, fmt.Errorf("alloc: reading snapshot checksum: %w", err)
 	}
 	wantCRC := binary.LittleEndian.Uint32(crcBuf[:])
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(rd, payload); err != nil {
+	// Read rather than allocate the declared length: a corrupted
+	// length must not cost more memory than the bytes actually there.
+	payload, err := io.ReadAll(io.LimitReader(rd, int64(plen)))
+	if err == nil && uint64(len(payload)) != plen {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("alloc: reading snapshot payload: %w", err)
 	}
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
@@ -378,12 +391,16 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nBase > 1<<31 || nGreen > 1<<31 {
+	if nBase > math.MaxInt32 || nGreen > math.MaxInt32 {
 		return nil, r.fail("pool size")
 	}
 	s.cfg.NBase, s.cfg.NGreen = int(nBase), int(nGreen)
 	if s.snapEvery, err = r.f64("snapshot interval"); err != nil {
 		return nil, err
+	}
+	// The snapshot clock must advance, or the next Step never returns.
+	if !(s.snapEvery > 0) || math.IsInf(s.snapEvery, 1) {
+		return nil, r.fail("snapshot interval")
 	}
 	s.cfg.SnapshotEvery = s.snapEvery
 	if err := r.class(&s.cfg.Base); err != nil {
@@ -403,6 +420,14 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 	s.events = int(events)
 	if s.nextSnap, err = r.f64("next snapshot time"); err != nil {
 		return nil, err
+	}
+	// A replay's snapshot clock starts at the interval, stays past its
+	// last arrival, and advances by the interval. A clock that breaks
+	// any of these no replay reaches, and one that does not advance
+	// would hang the next Step; a restored clock that keeps them costs
+	// the next Step no more snapshots than the original replay's.
+	if !(s.nextSnap >= s.snapEvery && s.nextSnap > s.lastArrive) || s.nextSnap+s.snapEvery == s.nextSnap {
+		return nil, r.fail("next snapshot time")
 	}
 	for _, c := range []*int{&s.res.Placed, &s.res.Rejected, &s.res.DeferrablePlaced, &s.res.DeferrableRejected, &s.res.Snapshots} {
 		v, err := r.uvarint("result counter")
@@ -476,6 +501,27 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 		return nil, fmt.Errorf("alloc: corrupt snapshot: trailing data after payload")
 	}
 	return s, nil
+}
+
+// readUvarint is binary.ReadUvarint refusing overlong encodings.
+func readUvarint(br io.ByteReader) (uint64, error) {
+	c := countingByteReader{ByteReader: br}
+	v, err := binary.ReadUvarint(&c)
+	var min [binary.MaxVarintLen64]byte
+	if err == nil && c.n != binary.PutUvarint(min[:], v) {
+		err = errors.New("overlong uvarint")
+	}
+	return v, err
+}
+
+type countingByteReader struct {
+	io.ByteReader
+	n int
+}
+
+func (c *countingByteReader) ReadByte() (byte, error) {
+	c.n++
+	return c.ByteReader.ReadByte()
 }
 
 // byteReaderOf adapts any reader for binary.ReadUvarint without

@@ -72,9 +72,14 @@ func (s *Sizer) probe(ctx context.Context, tr trace.Trace, nBase, nGreen int) (a
 	return p, err
 }
 
+// hosts replays the trace against nBase + nGreen servers from the
+// first event, recording nothing. Unaudited, it stops at the first
+// rejection.
 func (s *Sizer) hosts(ctx context.Context, tr trace.Trace, nBase, nGreen int) (bool, error) {
-	p, err := s.probe(ctx, tr, nBase, nGreen)
-	return p.Hosts, err
+	if nBase+nGreen == 0 {
+		return len(tr.VMs) == 0, nil
+	}
+	return alloc.HostsContext(ctx, tr, s.config(nBase, nGreen), s.Decide)
 }
 
 // testTamper, when non-nil, edits every probe record before the search
@@ -112,16 +117,27 @@ func searchMin(hi int, ok func(int) (bool, error)) (int, error) {
 // searchRecorded is searchMin over one pool's size, where top is the
 // replay at the search's upper bound hi. Probes the record answers
 // (see alloc.Probe for why the answers are exact) skip their replay;
-// the rest run hosts. When Audit resolves to a checker, every
-// record-answered probe is replayed too and any disagreement is
-// reported as a cluster/probe-record violation.
-func (s *Sizer) searchRecorded(hi int, top alloc.Probe, answer func(n int) (hosts, known bool), hosts func(n int) (bool, error)) (int, error) {
+// the rest resume from one of top's checkpoints where resume can, and
+// run hosts, a replay from the first event, otherwise. When Audit
+// resolves to a checker, every probe runs hosts too, and a record or
+// resumed answer that disagrees is reported as a cluster/probe-record
+// or cluster/probe-resume violation.
+func (s *Sizer) searchRecorded(hi int, top alloc.Probe, answer func(n int) (hosts, known bool),
+	resume func(n int) (hosts, ok bool, err error), hosts func(n int) (bool, error)) (int, error) {
 	chk := audit.Resolve(s.Audit)
 	return searchMin(hi, func(n int) (bool, error) {
 		if n == hi { // top is this probe's replay
 			return top.Hosts, nil
 		}
+		kind, source := "probe-record", "the opening record"
 		fits, known := answer(n)
+		if !known {
+			kind, source = "probe-resume", "the replay resumed at a checkpoint"
+			var err error
+			if fits, known, err = resume(n); err != nil {
+				return false, err
+			}
+		}
 		if !known {
 			return hosts(n)
 		}
@@ -131,8 +147,9 @@ func (s *Sizer) searchRecorded(hi int, top alloc.Probe, answer func(n int) (host
 				return false, err
 			}
 			if real != fits {
-				audit.Failf(chk, "cluster", "probe-record",
-					"pool size %d: the opening record says hosts=%v, a replay says %v", n, fits, real)
+				audit.Failf(chk, "cluster", kind,
+					"pool size %d: %s says hosts=%v, a replay from the first event says %v", n, source, fits, real)
+				return real, nil
 			}
 		}
 		return fits, nil
@@ -150,12 +167,19 @@ func (s *Sizer) RightSizeBaselineContext(ctx context.Context, tr trace.Trace) (i
 	if err := tr.Validate(); err != nil {
 		return 0, err
 	}
-	hi := s.maxServers(tr)
+	return s.rightSizeBaseline(ctx, tr, s.maxServers(tr))
+}
+
+// rightSizeBaseline is RightSizeBaselineContext on a validated trace,
+// searching up to hi servers.
+func (s *Sizer) rightSizeBaseline(ctx context.Context, tr trace.Trace, hi int) (int, error) {
 	top, err := s.probe(ctx, tr, hi, 0)
 	if err != nil {
 		return 0, err
 	}
-	return s.searchRecorded(hi, top, top.BaseHosts, func(n int) (bool, error) {
+	return s.searchRecorded(hi, top, top.BaseHosts, func(n int) (bool, bool, error) {
+		return top.ResumeBase(ctx, tr, n)
+	}, func(n int) (bool, error) {
 		return s.hosts(ctx, tr, n, 0)
 	})
 }
@@ -178,7 +202,13 @@ func (s *Sizer) MixedSize(tr trace.Trace) (Mix, error) {
 // MixedSizeContext is MixedSize with cancellation.
 func (s *Sizer) MixedSizeContext(ctx context.Context, tr trace.Trace) (Mix, error) {
 	var m Mix
-	n0, err := s.RightSizeBaselineContext(ctx, tr)
+	if err := tr.Validate(); err != nil {
+		return m, err
+	}
+	// One bound serves both searches: the baseline-only size and the
+	// green pool's cap.
+	hi := s.maxServers(tr)
+	n0, err := s.rightSizeBaseline(ctx, tr, hi)
 	if err != nil {
 		return m, err
 	}
@@ -191,12 +221,14 @@ func (s *Sizer) MixedSizeContext(ctx context.Context, tr trace.Trace) (Mix, erro
 	// green pool's offered stream does not depend on the baseline
 	// size (adopters try green first), so one replay at the upper
 	// bound answers the baseline probes.
-	greenCap := s.maxServers(tr)
+	greenCap := hi
 	top, err := s.probe(ctx, tr, n0, greenCap)
 	if err != nil {
 		return m, err
 	}
-	m.NBase, err = s.searchRecorded(n0, top, top.BaseHosts, func(n int) (bool, error) {
+	m.NBase, err = s.searchRecorded(n0, top, top.BaseHosts, func(n int) (bool, bool, error) {
+		return top.ResumeBase(ctx, tr, n)
+	}, func(n int) (bool, error) {
 		return s.hosts(ctx, tr, n, greenCap)
 	})
 	if err != nil {
@@ -212,6 +244,8 @@ func (s *Sizer) MixedSizeContext(ctx context.Context, tr trace.Trace) (Mix, erro
 	}
 	m.NGreen, err = s.searchRecorded(greenCap, top, func(n int) (bool, bool) {
 		return top.GreenHosts(m.NBase, n)
+	}, func(n int) (bool, bool, error) {
+		return top.ResumeGreen(ctx, tr, m.NBase, n)
 	}, func(n int) (bool, error) {
 		return s.hosts(ctx, tr, m.NBase, n)
 	})

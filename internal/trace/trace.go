@@ -12,8 +12,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -351,6 +353,20 @@ type demandEvent struct {
 	mem   float64
 }
 
+// cmpDemand orders the sweep by time, departures (negative cores)
+// before arrivals at the same instant. Equal events may land in either
+// order, and the memory running sum is order-sensitive in its last
+// bits; TestSummariseMatchesSortSlice pins the order the sort yields.
+func cmpDemand(a, b demandEvent) int {
+	if a.at != b.at {
+		if a.at < b.at {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.cores, b.cores)
+}
+
 // eventPool recycles Summarise's event buffer: the 35-trace suite
 // summarises tens of thousands of VMs per call, and the 2-events-per-VM
 // scratch slice is pure garbage between calls.
@@ -392,13 +408,7 @@ func Summarise(t Trace) Stats {
 		s.MeanLifetime /= n
 		s.MeanMaxMem /= n
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
-		}
-		// Departures before arrivals at the same instant.
-		return events[i].cores < events[j].cores
-	})
+	slices.SortFunc(events, cmpDemand)
 	var cores int
 	var mem float64
 	for _, e := range events {
