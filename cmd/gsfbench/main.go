@@ -4,11 +4,10 @@
 // columnar allocator and through the internal/oracle linear scan,
 // verifying they are decision-identical and gating on a minimum
 // speedup. The queue suite (BENCH_queue.json) runs the Table III
-// profiling sweep over the green-SKU catalog through the fast queueing
-// kernel (ziggurat sampling, single-sort statistics, SLO memoization)
-// and through a reference-shaped run approximating the
-// pre-optimization kernel, verifying the factor matrices are identical
-// and gating on the kernel speedup.
+// profiling sweep over the green-SKU catalog through the production
+// queueing kernel and through the internal/oracle scalar loop with its
+// fast and its reference samplers, verifying the factor matrices are
+// identical and gating on the speedups (queue.go).
 //
 // Usage:
 //
@@ -226,46 +225,6 @@ func runScale(ctx context.Context, sout string, scaleMinSpeedup float64, scaleSe
 		return err
 	}
 	return gateScale(scale, scaleMinSpeedup)
-}
-
-func runQueue(ctx context.Context, qout string, queueMinSpeedup, queueMinBatchSpeedup, queueMinCumulative float64, qRequests int, seed uint64) error {
-	kernel, err := experiments.QueueKernelBench(ctx, experiments.QueueKernelBenchOptions{
-		Requests: qRequests,
-		Seed:     seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("queue kernel: TableIII over %d SKUs, %d cells, %d requests/run\n",
-		len(kernel.SKUs), kernel.Cells, kernel.Requests)
-	fmt.Printf("  batch     %8.3fs   (SLO memo: %d hits / %d misses)\n",
-		kernel.BatchSeconds, kernel.SLOCacheHits, kernel.SLOCacheMisses)
-	fmt.Printf("  fast      %8.3fs   batch speedup %.2fx\n", kernel.FastSeconds, kernel.BatchSpeedup)
-	fmt.Printf("  reference %8.3fs   fast speedup %.2fx\n", kernel.ReferenceSeconds, kernel.Speedup)
-	fmt.Printf("  cumulative %7.2fx   factors-identical: %v\n", kernel.CumulativeSpeedup, kernel.FactorsIdentical)
-	fmt.Printf("  knee search: frac %.3f in %d evals (fixed-step: %d) %.3fs\n",
-		kernel.Knee.KneeFrac, kernel.Knee.Evals, kernel.Knee.FixedStepEvals, kernel.Knee.Seconds)
-	fmt.Printf("  fluid knee:  frac %.3f in %d sims + %d fluid %.3fs\n",
-		kernel.Knee.FluidKneeFrac, kernel.Knee.FluidSimEvals, kernel.Knee.FluidEvals, kernel.Knee.FluidSeconds)
-
-	art := experiments.QueueArtifact{Kernel: kernel}
-	if err := writeTo(qout, func(f *os.File) error { return experiments.WriteQueueArtifact(f, art) }); err != nil {
-		return err
-	}
-
-	if !kernel.FactorsIdentical {
-		return fmt.Errorf("kernel arms produced different scaling factors — a fast path is wrong")
-	}
-	if queueMinSpeedup > 0 && kernel.Speedup < queueMinSpeedup {
-		return fmt.Errorf("queueing kernel speedup %.2fx below the %.2fx gate", kernel.Speedup, queueMinSpeedup)
-	}
-	if queueMinBatchSpeedup > 0 && kernel.BatchSpeedup < queueMinBatchSpeedup {
-		return fmt.Errorf("batched kernel speedup %.2fx below the %.2fx gate", kernel.BatchSpeedup, queueMinBatchSpeedup)
-	}
-	if queueMinCumulative > 0 && kernel.CumulativeSpeedup < queueMinCumulative {
-		return fmt.Errorf("cumulative kernel speedup %.2fx below the %.2fx gate", kernel.CumulativeSpeedup, queueMinCumulative)
-	}
-	return nil
 }
 
 // writeTo writes an artifact to path ('-' means stdout).

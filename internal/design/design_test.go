@@ -215,7 +215,6 @@ func TestProfileKeyMatchesPerCallFormat(t *testing.T) {
 	popt := DefaultPerfOptions()
 	popt.Base.Workers = 3
 	popt.Base.DisableSLOMemo = true
-	popt.Base.FluidApprox = true
 	ev := NewEvaluator(m, 0, popt)
 	norm := popt
 	norm.Base.Workers = 0

@@ -201,11 +201,10 @@ func (e *Evaluator) classRatio(ctx context.Context, a apps.App, green, base perf
 func (e *Evaluator) knee(ctx context.Context, a apps.App, p perf.Profile) (queueing.Knee, error) {
 	return e.knees.Do(e.profileKey("knee", a.Name, p), func() (queueing.Knee, error) {
 		cfg := queueing.Config{
-			Servers:           e.Perf.Base.BaselineCores,
-			Service:           queueing.LogNormal{MeanSeconds: perf.ServiceTime(a, p), CV: a.CV},
-			Requests:          e.Perf.Base.Requests,
-			Seed:              e.Perf.Base.Seed,
-			ReferenceSampling: e.Perf.Base.ReferenceSampling,
+			Servers:  e.Perf.Base.BaselineCores,
+			Service:  queueing.LogNormal{MeanSeconds: perf.ServiceTime(a, p), CV: a.CV},
+			Requests: e.Perf.Base.Requests,
+			Seed:     e.Perf.Base.Seed,
 		}
 		return queueing.KneeSearch(ctx, cfg, e.Perf.KneeLo, e.Perf.KneeHi, e.Perf.KneeTol)
 	})

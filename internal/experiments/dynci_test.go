@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -73,5 +74,49 @@ func TestDynCIRender(t *testing.T) {
 	}
 	if _, err := DynCI(DynCIOptions{Dataset: "no-such-dataset"}); err == nil {
 		t.Error("DynCI accepted an unknown dataset")
+	}
+}
+
+// TestDynCI35TraceRow pins the EXPERIMENTS.md dynci row: the full
+// 35-trace study's operational totals and savings against the static
+// baseline, to the stated tolerances, and every policy inside the 5%
+// SLO budget. The study resolves its queueing knee through
+// queueing.KneeSearch, so a kernel change that moves the knee moves
+// these numbers.
+func TestDynCI35TraceRow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the 35-trace study takes several seconds")
+	}
+	r, err := DynCI(DefaultDynCIOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const kgTol, savingsTol = 0.5, 0.0005 // ±0.5 kgCO2e, ±0.05 percentage points
+	want := []struct {
+		policy      string
+		operational float64 // kgCO2e
+		savings     float64
+	}{
+		{"static", 14681.5, 0},
+		{"shift", 14422.4, 0.0176},
+		{"shift+suspend", 14341.2, 0.0232},
+	}
+	if len(r.Rows) != len(want) {
+		t.Fatalf("got %d policy rows, want %d", len(r.Rows), len(want))
+	}
+	for i, w := range want {
+		row := r.Rows[i]
+		if row.Policy != w.policy {
+			t.Fatalf("row %d is %q, want %q", i, row.Policy, w.policy)
+		}
+		if got := float64(row.Operational); math.Abs(got-w.operational) > kgTol {
+			t.Errorf("%s: operational %.1f kgCO2e, want %.1f ± %.1f", w.policy, got, w.operational, kgTol)
+		}
+		if math.Abs(row.SavingsVsStatic-w.savings) > savingsTol {
+			t.Errorf("%s: savings %.4f, want %.4f ± %.4f", w.policy, row.SavingsVsStatic, w.savings, savingsTol)
+		}
+		if !row.WithinBudget {
+			t.Errorf("%s: outside the SLO budget (violation fraction %.4f)", w.policy, row.ViolationFrac)
+		}
 	}
 }

@@ -10,7 +10,9 @@
 // server structs that internal/alloc's columnar fleet and placement
 // index replaced: one heap object per configured server, every
 // placement a scan over the whole pool, and container/heap for
-// departures.
+// departures. The queueing oracle (queueing.go) is the scalar
+// per-request event loop that internal/queueing's batched loop
+// replaced.
 package oracle
 
 import (

@@ -131,25 +131,6 @@ type Options struct {
 	// way, so Workers never changes an answer (and is excluded from
 	// ProfileKey and the SLO memo key).
 	Workers int
-	// ReferenceSampling forces the queueing simulator's bit-exact
-	// reference samplers (see queueing.Config.ReferenceSampling). It
-	// changes simulated latencies at the last few significant digits,
-	// so it is part of every memo key.
-	ReferenceSampling bool
-	// ReferenceEventLoop forces the queueing simulator's retained
-	// scalar event loop (see queueing.Config.ReferenceEventLoop). The
-	// batched loop is bit-identical, so this is a differential-testing
-	// knob — but it is still part of every memo key, because a memo
-	// must never launder one kernel's answer as the other's.
-	ReferenceEventLoop bool
-	// FluidApprox lets far-from-saturation simulations be answered by
-	// the closed-form fluid model (see queueing.Config.FluidApprox).
-	// Fluid answers are approximations, so the knob and its threshold
-	// are part of every memo key.
-	FluidApprox bool
-	// FluidThreshold is the utilization cutoff for FluidApprox; zero
-	// selects queueing.DefaultFluidThreshold.
-	FluidThreshold float64
 	// DisableSLOMemo bypasses the process-wide SLO memoization, forcing
 	// every ScalingFactor call to re-simulate its baseline SLO point.
 	// Benchmarks use it to measure the unmemoized kernel; results are
@@ -203,14 +184,10 @@ func SLOCacheStats() (hits, misses int64) { return sloCache.Load().Stats() }
 // only in the green-side search share the same baseline point.
 func sloKey(a apps.App, baseline hw.SKU, opt Options) string {
 	k := Options{
-		BaselineCores:      opt.BaselineCores,
-		LoadFraction:       opt.LoadFraction,
-		Requests:           opt.Requests,
-		Seed:               opt.Seed,
-		ReferenceSampling:  opt.ReferenceSampling,
-		ReferenceEventLoop: opt.ReferenceEventLoop,
-		FluidApprox:        opt.FluidApprox,
-		FluidThreshold:     opt.FluidThreshold,
+		BaselineCores: opt.BaselineCores,
+		LoadFraction:  opt.LoadFraction,
+		Requests:      opt.Requests,
+		Seed:          opt.Seed,
 	}
 	return fmt.Sprintf("%#v|%#v|%#v", a, baseline, k)
 }
@@ -248,15 +225,11 @@ func sloRun(ctx context.Context, a apps.App, baseline hw.SKU, opt Options) (p95 
 	s := queueing.LogNormal{MeanSeconds: ServiceTime(a, ProfileOf(baseline, false)), CV: a.CV}
 	load = opt.LoadFraction * queueing.Capacity(opt.BaselineCores, s)
 	res, err := queueing.RunContext(ctx, queueing.Config{
-		Servers:            opt.BaselineCores,
-		ArrivalRate:        load,
-		Service:            s,
-		Requests:           opt.Requests,
-		Seed:               opt.Seed,
-		ReferenceSampling:  opt.ReferenceSampling,
-		ReferenceEventLoop: opt.ReferenceEventLoop,
-		FluidApprox:        opt.FluidApprox,
-		FluidThreshold:     opt.FluidThreshold,
+		Servers:     opt.BaselineCores,
+		ArrivalRate: load,
+		Service:     s,
+		Requests:    opt.Requests,
+		Seed:        opt.Seed,
 	})
 	if err != nil {
 		return 0, 0, err
@@ -297,15 +270,11 @@ func ScalingFactorContext(ctx context.Context, a apps.App, green, baseline hw.SK
 		// Latency criterion: the simulated p95 at the SLO load must
 		// not blow past the knee.
 		res, err := queueing.RunContext(ctx, queueing.Config{
-			Servers:            cores,
-			ArrivalRate:        load,
-			Service:            s,
-			Requests:           opt.Requests,
-			Seed:               opt.Seed,
-			ReferenceSampling:  opt.ReferenceSampling,
-			ReferenceEventLoop: opt.ReferenceEventLoop,
-			FluidApprox:        opt.FluidApprox,
-			FluidThreshold:     opt.FluidThreshold,
+			Servers:     cores,
+			ArrivalRate: load,
+			Service:     s,
+			Requests:    opt.Requests,
+			Seed:        opt.Seed,
 		})
 		if err != nil {
 			return Factor{}, err
@@ -396,15 +365,11 @@ func ThroughputSlowdown(a apps.App, sku hw.SKU, cxlBacked bool) float64 {
 func LowLoadLatency(a apps.App, sku hw.SKU, cores int, cxlBacked bool, opt Options) (float64, error) {
 	s := queueing.LogNormal{MeanSeconds: ServiceTime(a, ProfileOf(sku, cxlBacked)), CV: a.CV}
 	res, err := queueing.Run(queueing.Config{
-		Servers:            cores,
-		ArrivalRate:        0.3 * queueing.Capacity(cores, s),
-		Service:            s,
-		Requests:           opt.Requests,
-		Seed:               opt.Seed,
-		ReferenceSampling:  opt.ReferenceSampling,
-		ReferenceEventLoop: opt.ReferenceEventLoop,
-		FluidApprox:        opt.FluidApprox,
-		FluidThreshold:     opt.FluidThreshold,
+		Servers:     cores,
+		ArrivalRate: 0.3 * queueing.Capacity(cores, s),
+		Service:     s,
+		Requests:    opt.Requests,
+		Seed:        opt.Seed,
 	})
 	if err != nil {
 		return 0, err

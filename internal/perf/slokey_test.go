@@ -1,15 +1,13 @@
 package perf
 
-// Regression tests for the SLO memo key's coverage of the queueing
-// kernel knobs. sloKey reduces Options to the fields that influence the
+// Regression tests for the SLO memo key's coverage of the simulator
+// knobs. sloKey reduces Options to the fields that influence the
 // simulated point, and that reduction is rebuilt by hand — so a new
 // simulator knob that is threaded into queueing.Config but forgotten in
-// the reduced literal silently collides memo entries across kernel
-// modes. That is exactly what happened when ReferenceEventLoop and the
-// fluid knobs landed; these tests pin the fix and the failure shape.
+// the reduced literal silently collides memo entries. These tests pin
+// which knobs split the key and which must not.
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/greensku/gsf/internal/apps"
@@ -20,12 +18,10 @@ import (
 // queueing simulator computes and therefore must change the memo key.
 func kernelKnobVariants() map[string]func(*Options) {
 	return map[string]func(*Options){
-		"ReferenceSampling":  func(o *Options) { o.ReferenceSampling = true },
-		"ReferenceEventLoop": func(o *Options) { o.ReferenceEventLoop = true },
-		"FluidApprox":        func(o *Options) { o.FluidApprox = true },
-		"FluidThreshold":     func(o *Options) { o.FluidApprox = true; o.FluidThreshold = 0.5 },
-		"Requests":           func(o *Options) { o.Requests += 1000 },
-		"Seed":               func(o *Options) { o.Seed++ },
+		"BaselineCores": func(o *Options) { o.BaselineCores = 10 },
+		"LoadFraction":  func(o *Options) { o.LoadFraction = 0.8 },
+		"Requests":      func(o *Options) { o.Requests += 1000 },
+		"Seed":          func(o *Options) { o.Seed++ },
 	}
 }
 
@@ -60,39 +56,9 @@ func TestSLOKeyDistinguishesKernelKnobs(t *testing.T) {
 	}
 }
 
-// TestSLOKeyLegacyShapeCollides documents the bug the fix removed: the
-// pre-fix reduced literal (BaselineCores, LoadFraction, Requests, Seed,
-// ReferenceSampling only) maps different kernel modes to one key, so a
-// fluid approximation could have been served from a discrete run's memo
-// entry. The current sloKey keeps them apart.
-func TestSLOKeyLegacyShapeCollides(t *testing.T) {
-	legacyKey := func(a apps.App, baseline hw.SKU, opt Options) string {
-		k := Options{
-			BaselineCores:     opt.BaselineCores,
-			LoadFraction:      opt.LoadFraction,
-			Requests:          opt.Requests,
-			Seed:              opt.Seed,
-			ReferenceSampling: opt.ReferenceSampling,
-		}
-		return fmt.Sprintf("%#v|%#v|%#v", a, baseline, k)
-	}
-	a := apps.All()[0]
-	base := hw.BaselineGen3()
-	discrete := DefaultOptions()
-	fluid := discrete
-	fluid.FluidApprox = true
-
-	if legacyKey(a, base, discrete) != legacyKey(a, base, fluid) {
-		t.Fatal("legacy key shape no longer collides; this regression demo is stale")
-	}
-	if sloKey(a, base, discrete) == sloKey(a, base, fluid) {
-		t.Fatal("sloKey collides across FluidApprox modes: a fluid answer could be served from a discrete memo entry")
-	}
-}
-
-// TestSLOMemoMissesAcrossKernelModes is the behavioral form: flipping a
-// kernel knob after a memoized run must miss the cache, not serve the
-// other mode's point.
+// TestSLOMemoMissesAcrossKernelModes is the behavioral form: changing
+// a simulator knob after a memoized run must miss the cache, not serve
+// the other configuration's point.
 func TestSLOMemoMissesAcrossKernelModes(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Requests = 8000
@@ -103,12 +69,12 @@ func TestSLOMemoMissesAcrossKernelModes(t *testing.T) {
 	if _, _, err := SLO(a, base, opt); err != nil {
 		t.Fatal(err)
 	}
-	ref := opt
-	ref.ReferenceEventLoop = true
-	if _, _, err := SLO(a, base, ref); err != nil {
+	other := opt
+	other.Requests = 9000
+	if _, _, err := SLO(a, base, other); err != nil {
 		t.Fatal(err)
 	}
 	if h, m := SLOCacheStats(); h != 0 || m != 2 {
-		t.Fatalf("ReferenceEventLoop run reused the batched memo entry: hits=%d misses=%d, want 0/2", h, m)
+		t.Fatalf("a run with more requests reused the memo entry: hits=%d misses=%d, want 0/2", h, m)
 	}
 }

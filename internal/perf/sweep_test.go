@@ -89,24 +89,6 @@ func TestSLOMemoDisabledMatchesEnabled(t *testing.T) {
 	}
 }
 
-func TestSLOKeySeparatesSamplingModes(t *testing.T) {
-	opt := DefaultOptions()
-	a := apps.All()[0]
-	base := hw.BaselineGen3()
-	ref := opt
-	ref.ReferenceSampling = true
-	if sloKey(a, base, opt) == sloKey(a, base, ref) {
-		t.Fatal("fast and reference sampling share an SLO memo key")
-	}
-	// Execution knobs must not split the key.
-	w := opt
-	w.Workers = 7
-	w.DisableSLOMemo = false
-	if sloKey(a, base, opt) != sloKey(a, base, w) {
-		t.Fatal("Workers changed the SLO memo key")
-	}
-}
-
 func TestTableIIICancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -6,7 +6,9 @@ package queueing
 // ziggurat bulk fillers and then sweeps the batch through a tight,
 // allocation-free dispatch loop.
 //
-// Bit-identity with the scalar reference loop (Config.ReferenceEventLoop)
+// Bit-identity with the scalar per-request loop (the test-only oracle
+// in internal/oracle, which draws one gap and one service time per
+// request through Prepare's sampler and sorts once for percentiles)
 // rests on three facts, each proven by a differential test:
 //
 //  1. The bulk fillers interleave (gap, service) draws per request in
@@ -14,16 +16,17 @@ package queueing
 //     of 64-bit words per sample, so filling all gaps first would
 //     permute the stream (stats.TestPairFillsMatchScalarSequence).
 //  2. The server index is a multiset of next-free times with no
-//     identities: the heap and the calendar queue extract the same
-//     minimum values, so dispatch decisions are identical.
+//     identities: any structure that extracts the exact minimum makes
+//     the same dispatch decisions, so the heap here and the oracle's
+//     own heap agree at every server count.
 //  3. Each percentile is an interpolation of exact order statistics,
 //     so the quickselect summary equals the sort-based one bit for bit
 //     (stats.TestSummarizeSelectMatchesSummarize).
 //
-// Context polling and audit sweeps happen at batch boundaries — the
-// same i&4095 == 0 cadence the scalar loop uses. A knee search fills
-// its batches from columns drawn once per search instead (see
-// columns); the dispatch loops are the same.
+// Context polling and audit sweeps happen at batch boundaries, every
+// 4096 requests. A knee search fills its batches from columns drawn
+// once per search instead (see columns); the dispatch loop is the
+// same.
 
 import (
 	"context"
@@ -34,18 +37,9 @@ import (
 	"github.com/greensku/gsf/internal/stats"
 )
 
-// eventBatch is the SoA batch size. It matches the scalar loop's
-// context-poll cadence (i&4095 == 0) so batching changes neither the
-// cancellation latency nor the audit sweep frequency.
+// eventBatch is the SoA batch size, and so the cadence of context
+// polls and audit heap sweeps.
 const eventBatch = 4096
-
-// calendarMinServers is the server count at which the batched loop
-// switches its next-free index from the binary heap to the calendar
-// queue. Below it the heap's few cache-hot sift levels win; from here
-// up the calendar's O(1) amortized extract-min does (measured
-// crossover between 16 and 32 servers; see BenchmarkServerIndex in
-// batch_test.go).
-const calendarMinServers = 64
 
 // eventBuf holds one batch of pre-sampled arrival gaps and service
 // times; pooled so steady-state runs allocate nothing per batch.
@@ -95,7 +89,7 @@ func getColumns(n int) *columns {
 // arrival gap 1. cfg.Requests and cfg.Warmup must hold their defaults.
 func drawColumns(cfg Config) *columns {
 	c := getColumns(cfg.Warmup + cfg.Requests)
-	fillEvents(cfg, cfg.Service.Prepare(false), stats.NewRNG(cfg.Seed), c.unit, c.svc, 1)
+	fillEvents(cfg.Service.Prepare(), stats.NewRNG(cfg.Seed), c.unit, c.svc, 1)
 	return c
 }
 
@@ -103,26 +97,20 @@ func drawColumns(cfg Config) *columns {
 // latency, in arrival order, to the empty buffer *lat. With cols nil it
 // draws the events from cfg.Seed batch by batch; otherwise it reads
 // them from cols, scaled to cfg.ArrivalRate. Only the fill step
-// differs: both feed the same dispatch loops bit-identical events.
+// differs: both feed the same dispatch loop bit-identical events.
 func sweep(ctx context.Context, cfg Config, chk audit.Checker, cols *columns, lat *[]float64) error {
 	var r *stats.RNG
 	var sampler Sampler
 	if cols == nil {
 		r = stats.NewRNG(cfg.Seed)
-		if !cfg.ReferenceSampling {
-			sampler = cfg.Service.Prepare(false)
-		}
+		sampler = cfg.Service.Prepare()
 	}
 	latencies := (*lat)[:0]
 
 	total := cfg.Warmup + cfg.Requests
-	var free serverHeap
-	var cal *calendarQueue
-	if cfg.Servers >= calendarMinServers {
-		cal = newCalendarQueue(cfg.Servers, calendarSpan(cfg), cfg.ArrivalRate, total)
-	} else {
-		free = make(serverHeap, cfg.Servers)
-	}
+	// All servers start free at t=0; an all-equal slice is already a
+	// valid min-heap.
+	free := make(serverHeap, cfg.Servers)
 
 	eb := eventBufPool.Get().(*eventBuf)
 	defer eventBufPool.Put(eb)
@@ -134,11 +122,7 @@ func sweep(ctx context.Context, cfg Config, chk audit.Checker, cols *columns, la
 			return err
 		}
 		if chk != nil {
-			if cal != nil {
-				auditCalendar(chk, cal, cfg.Servers)
-			} else {
-				auditHeap(chk, free)
-			}
+			auditHeap(chk, free)
 		}
 		n := total - base
 		if n > eventBatch {
@@ -146,7 +130,7 @@ func sweep(ctx context.Context, cfg Config, chk audit.Checker, cols *columns, la
 		}
 		gaps, svc := eb.gaps[:n:n], eb.svc[:n:n]
 		if cols == nil {
-			fillEvents(cfg, sampler, r, gaps, svc, meanIA)
+			fillEvents(sampler, r, gaps, svc, meanIA)
 		} else {
 			// The product the filler computes for this gap; the
 			// conversion pins its rounding so it cannot fuse.
@@ -155,21 +139,7 @@ func sweep(ctx context.Context, cfg Config, chk audit.Checker, cols *columns, la
 			}
 			svc = cols.svc[base : base+n : base+n]
 		}
-		switch {
-		case chk == nil && cal != nil:
-			for k := 0; k < n; k++ {
-				now += gaps[k]
-				start := cal.next()
-				if now > start {
-					start = now
-				}
-				done := start + svc[k]
-				cal.replace(done)
-				if base+k >= cfg.Warmup {
-					latencies = append(latencies, done-now)
-				}
-			}
-		case chk == nil:
+		if chk == nil {
 			for k := 0; k < n; k++ {
 				now += gaps[k]
 				start := free[0]
@@ -183,22 +153,7 @@ func sweep(ctx context.Context, cfg Config, chk audit.Checker, cols *columns, la
 					latencies = append(latencies, done-now)
 				}
 			}
-		case cal != nil:
-			for k := 0; k < n; k++ {
-				prev := now
-				now += gaps[k]
-				start := cal.next()
-				if now > start {
-					start = now
-				}
-				done := start + svc[k]
-				auditEvent(chk, base+k, svc[k], prev, now, start, done)
-				cal.replace(done)
-				if base+k >= cfg.Warmup {
-					latencies = append(latencies, done-now)
-				}
-			}
-		default:
+		} else {
 			for k := 0; k < n; k++ {
 				prev := now
 				now += gaps[k]
@@ -241,8 +196,7 @@ func utilization(cfg Config) float64 {
 
 // summarize computes a run's Result from its arrival-order latencies,
 // reading the saturation signal before SummarizeSelect partitions the
-// buffer in place, exactly as the scalar loop reads it before
-// Summarize sorts.
+// buffer in place.
 func summarize(cfg Config, chk audit.Checker, latencies []float64) Result {
 	sat := saturated(cfg, latencies)
 	sum := stats.SummarizeSelect(latencies)
@@ -265,17 +219,9 @@ func summarize(cfg Config, chk audit.Checker, latencies []float64) Result {
 }
 
 // fillEvents fills one batch of arrival gaps and service times,
-// consuming the RNG in exactly the scalar loop's per-request order.
-func fillEvents(cfg Config, sampler Sampler, r *stats.RNG, gaps, svc []float64, meanIA float64) {
-	if cfg.ReferenceSampling {
-		// Reference draw order: one reference Exp then one reference
-		// service sample per request, parameters re-derived per sample.
-		for k := range gaps {
-			gaps[k] = r.Exp(meanIA)
-			svc[k] = cfg.Service.Sample(r)
-		}
-		return
-	}
+// consuming the RNG in exactly the scalar per-request order: one
+// r.FastExp(meanIA) gap, then one sampler draw, per request.
+func fillEvents(sampler Sampler, r *stats.RNG, gaps, svc []float64, meanIA float64) {
 	switch s := sampler.(type) {
 	case fastLogNormal:
 		r.FillExpLogNormal(gaps, meanIA, svc, s.mu, s.sigma)
@@ -297,8 +243,11 @@ func fillEvents(cfg Config, sampler Sampler, r *stats.RNG, gaps, svc []float64, 
 	}
 }
 
-// auditEvent applies the scalar loop's per-request invariants to one
-// batched event, with identical check order and messages.
+// auditEvent checks one dispatched request: samples must stay in the
+// distributions' domain (a broken fast sampler would surface here), the
+// event clock may only move forward, a request may not start before it
+// arrives or complete before it starts, and its latency includes at
+// least its own service time.
 func auditEvent(chk audit.Checker, i int, s, prev, now, start, done float64) {
 	if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 		audit.Failf(chk, "queueing", "sample-domain",

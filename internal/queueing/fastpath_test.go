@@ -1,62 +1,15 @@
 package queueing
 
-// Kernel-level equivalence and regression tests for the fast sampling
-// path, the pooled latency buffer, and the sweep APIs. Every run here
-// executes under the package TestMain's audit.Recorder, so the 35-seed
-// sweep below doubles as the audit cross-check the fast samplers must
-// stay clean against (sample-domain, clock-monotonicity, heap-order,
-// percentile-order).
+// Regression tests for the pooled latency buffer, the sweep APIs and
+// the knee search. Every run here executes under the package
+// TestMain's audit.Recorder (sample-domain, clock-monotonicity,
+// heap-order, percentile-order).
 
 import (
 	"context"
 	"math"
 	"testing"
 )
-
-// TestFastMatchesReferenceAcrossSeeds runs the same stable queue in
-// fast and reference sampling mode across 35 seeds. The two modes draw
-// different sequences, so per-seed results differ by simulation noise;
-// the test pins (a) per-seed agreement within a loose band, (b) the
-// across-seed mean P95s within a tight band, and (c) identical
-// saturation verdicts at a comfortably stable operating point.
-func TestFastMatchesReferenceAcrossSeeds(t *testing.T) {
-	base := Config{
-		Servers:     8,
-		ArrivalRate: 0.7 * Capacity(8, LogNormal{0.004, 1}),
-		Service:     LogNormal{MeanSeconds: 0.004, CV: 1},
-		Requests:    40000,
-	}
-	var fastSum, refSum float64
-	for seed := uint64(1); seed <= 35; seed++ {
-		fcfg, rcfg := base, base
-		fcfg.Seed, rcfg.Seed = seed, seed
-		rcfg.ReferenceSampling = true
-		fast := run(t, fcfg)
-		ref := run(t, rcfg)
-		if fast.Saturated != ref.Saturated {
-			t.Errorf("seed %d: saturation verdicts differ (fast=%v ref=%v)", seed, fast.Saturated, ref.Saturated)
-		}
-		if rel := math.Abs(fast.P95-ref.P95) / ref.P95; rel > 0.10 {
-			t.Errorf("seed %d: fast P95 %.6f vs reference %.6f (%.1f%% apart)", seed, fast.P95, ref.P95, rel*100)
-		}
-		fastSum += fast.P95
-		refSum += ref.P95
-	}
-	if rel := math.Abs(fastSum-refSum) / refSum; rel > 0.01 {
-		t.Errorf("35-seed mean P95: fast %.6f vs reference %.6f (%.2f%% apart, want <1%%)", fastSum/35, refSum/35, rel*100)
-	}
-}
-
-// TestReferenceSamplingDeterministic pins that the reference path is a
-// pure function of the config — the property the differential test
-// against the pre-fast-path kernel relies on.
-func TestReferenceSamplingDeterministic(t *testing.T) {
-	cfg := Config{Servers: 4, ArrivalRate: 800, Service: Exponential{0.004}, Requests: 20000, Seed: 17, ReferenceSampling: true}
-	a, b := run(t, cfg), run(t, cfg)
-	if a != b {
-		t.Fatalf("reference runs diverged: %+v vs %+v", a, b)
-	}
-}
 
 // TestRunSteadyStateAllocs pins the per-run allocation count once the
 // latency pool is warm. The residual allocations are the RNG, the
@@ -193,27 +146,29 @@ func TestKneeSearchValidation(t *testing.T) {
 	}
 }
 
+// TestKneeSearchTerminates pins the two inputs that used to spin
+// forever: a tolerance below the bracket's float resolution, where the
+// midpoint rounds onto an endpoint, and an infinite bracket top. Both
+// run without a deadline, so a regression hangs the test binary
+// rather than passing slowly.
+func TestKneeSearchTerminates(t *testing.T) {
+	cfg := Config{Servers: 8, Service: LogNormal{0.004, 1}, Requests: 2000, Seed: 5}
+	k, err := KneeSearch(context.Background(), cfg, 0.5, 1.3, 1e-20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !k.Found || k.KneeFrac <= k.StableFrac || math.Nextafter(k.StableFrac, 2) != k.KneeFrac {
+		t.Fatalf("sub-resolution tolerance: knee %+v, want a bracket of adjacent floats", k)
+	}
+	if _, err := KneeSearch(context.Background(), cfg, 0.5, math.Inf(1), 0.02); err == nil {
+		t.Fatal("accepted an infinite bracket top")
+	}
+}
+
 func BenchmarkKneeSearch(b *testing.B) {
 	cfg := Config{Servers: 8, Service: LogNormal{0.004, 1}, Requests: 20000, Seed: 5}
 	for i := 0; i < b.N; i++ {
 		if _, err := KneeSearch(context.Background(), cfg, 0.5, 1.3, 0.02); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRunReferenceSampling(b *testing.B) {
-	cfg := Config{
-		Servers:           12,
-		ArrivalRate:       2500,
-		Service:           LogNormal{MeanSeconds: 0.004, CV: 1},
-		Requests:          20000,
-		Seed:              2,
-		ReferenceSampling: true,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

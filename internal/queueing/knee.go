@@ -10,14 +10,20 @@ package queueing
 // when the search returns. Saturated probes do no percentile work.
 //
 // Both shortcuts are exact: KneeSearch returns the Knee a search
-// calling RunContext for every probe would, which the differential
-// wall in knee_test.go checks. Audited probes still compute the full
-// summary, so the percentile-order check runs on every one; the
-// reference modes still call RunContext for every probe.
+// running a whole simulation per probe would. The differential wall
+// (walls_test.go) checks it against internal/oracle's per-probe
+// search over the scalar loop. Audited probes still compute the full
+// summary, so the percentile-order check runs on every one.
+//
+// The bisection stops once the bracket is no wider than the tolerance
+// or once its midpoint rounds onto an endpoint, so it terminates for
+// any positive tolerance, however far below the bracket's float
+// resolution.
 
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/greensku/gsf/internal/audit"
 	"github.com/greensku/gsf/internal/stats"
@@ -39,15 +45,12 @@ type Knee struct {
 	// means the queue was still stable at hiFrac (KneeFrac is then
 	// meaningless and StableFrac == hiFrac).
 	Found bool
-	// Evals counts discrete-event simulation runs performed; the
-	// adaptive search needs O(log((hi-lo)/tol)) of them where a
-	// fixed-step sweep at the same resolution needs (hi-lo)/tol.
+	// Evals counts the probes the search simulated: the bracket floor,
+	// then the top if the floor was stable, then one per bisection
+	// step. The adaptive search needs O(log((hi-lo)/tol)) of them
+	// where a fixed-step sweep at the same resolution needs
+	// (hi-lo)/tol.
 	Evals int
-	// FluidEvals counts load points answered by the closed-form fluid
-	// model instead of simulation (Config.FluidApprox only). Fluid
-	// answers are restricted to bracket screening: every bisection
-	// probe and the returned stable/knee points are discrete.
-	FluidEvals int
 }
 
 // KneeSearch locates a queue's saturation knee by bracketing and
@@ -57,53 +60,78 @@ type Knee struct {
 // runs differ only in offered load (common random numbers), and the
 // search is fully deterministic. Use it where only the knee is needed;
 // CurveContext still serves full-curve measurements.
-//
-// With Config.FluidApprox set, the search first narrows the bracket
-// around the analytic knee estimate and lets the fluid model answer the
-// far-from-saturation screening probe; every bisection probe and the
-// returned stable/knee points remain discrete-event simulations (a
-// fluid-screened stable endpoint is re-simulated before being
-// returned, and the search restarts fully discrete if the fluid screen
-// disagrees with simulation).
 func KneeSearch(ctx context.Context, cfg Config, loFrac, hiFrac, tolFrac float64) (Knee, error) {
 	if cfg.Servers <= 0 || cfg.Service == nil {
 		return Knee{}, fmt.Errorf("queueing: knee search needs positive servers and a service distribution")
 	}
-	if !(loFrac > 0) || !(hiFrac > loFrac) {
-		return Knee{}, fmt.Errorf("queueing: knee search needs 0 < loFrac < hiFrac, got [%v, %v]", loFrac, hiFrac)
+	if !(loFrac > 0) || !(hiFrac > loFrac) || math.IsInf(hiFrac, 1) {
+		return Knee{}, fmt.Errorf("queueing: knee search needs finite 0 < loFrac < hiFrac, got [%v, %v]", loFrac, hiFrac)
 	}
 	if !(tolFrac > 0) {
 		return Knee{}, fmt.Errorf("queueing: knee search needs a positive tolerance, got %v", tolFrac)
 	}
 	p := newProber(cfg)
 	defer p.release()
-	if cfg.FluidApprox && !cfg.ReferenceEventLoop && !cfg.ReferenceSampling {
-		if k, ok, err := kneeSearchFluid(ctx, p, loFrac, hiFrac, tolFrac); ok || err != nil {
-			return k, err
+
+	var k Knee
+	probe := func(frac float64) (bool, error) {
+		k.Evals++
+		return p.run(ctx, frac)
+	}
+	setKnee := func(frac float64) { k.Found, k.KneeFrac, k.KneeQPS = true, frac, frac*p.peak }
+	setStable := func(frac float64) { k.StableFrac, k.StableQPS = frac, frac*p.peak }
+
+	sat, err := probe(loFrac)
+	if err != nil {
+		return Knee{}, err
+	}
+	if sat {
+		// The whole bracket is past the knee; report its lower edge.
+		setKnee(loFrac)
+		return k, nil
+	}
+	setStable(loFrac)
+	if sat, err = probe(hiFrac); err != nil {
+		return Knee{}, err
+	}
+	if !sat {
+		// Still stable at the top of the bracket: no knee inside.
+		setStable(hiFrac)
+		k.StableP95 = p.stableP95()
+		return k, nil
+	}
+	setKnee(hiFrac)
+
+	for lo, hi := loFrac, hiFrac; hi-lo > tolFrac; {
+		mid := lo + (hi-lo)/2
+		if mid == lo || mid == hi {
+			break // adjacent floats: the bracket cannot narrow further
+		}
+		if sat, err = probe(mid); err != nil {
+			return Knee{}, err
+		}
+		if sat {
+			hi = mid
+			setKnee(mid)
+		} else {
+			lo = mid
+			setStable(mid)
 		}
 	}
-	return kneeSearchDiscrete(ctx, p, loFrac, hiFrac, tolFrac)
-}
-
-// point is one probe's answer: the offered load and whether the queue
-// saturated there. fluid marks an answer from the closed-form model.
-type point struct {
-	offered   float64
-	saturated bool
-	fluid     bool
+	k.StableP95 = p.stableP95()
+	return k, nil
 }
 
 // prober runs one knee search's probes. The latest stable probe is
 // the search's stable point, and the prober keeps what its P95 needs:
-// the probe's latency buffer, or the P95 itself where a probe computed
-// one anyway (audited, reference or fluid answers).
+// the probe's latency buffer, or the P95 itself where an audited probe
+// computed one anyway.
 type prober struct {
 	cfg  Config // Requests and Warmup hold their defaults
 	peak float64
 	chk  audit.Checker
-	// cols is nil in the reference modes, and when the capacity is not
-	// positive: those probes call RunContext, which also reports its
-	// errors.
+	// cols is nil when the capacity is not positive and finite: those
+	// probes only call RunContext for its error.
 	cols *columns
 	// kept holds the stable probe's latencies when keptLat is set;
 	// spare receives the next probe's.
@@ -113,9 +141,9 @@ type prober struct {
 }
 
 func newProber(cfg Config) *prober {
-	cfg = withDefaults(cfg)
+	cfg = cfg.WithDefaults()
 	p := &prober{cfg: cfg, peak: Capacity(cfg.Servers, cfg.Service), chk: audit.Resolve(cfg.Audit)}
-	if !cfg.ReferenceSampling && !cfg.ReferenceEventLoop && p.peak > 0 {
+	if p.peak > 0 && finite(p.peak) {
 		p.cols = drawColumns(cfg)
 		p.kept, p.spare = getLatencyBuf(cfg.Requests), getLatencyBuf(cfg.Requests)
 	}
@@ -131,55 +159,35 @@ func (p *prober) release() {
 	}
 }
 
-// run simulates the queue at frac of capacity. A stable answer becomes
-// the stable point.
-func (p *prober) run(ctx context.Context, frac float64) (point, error) {
+// run simulates the queue at frac of capacity and reports whether it
+// saturated. A stable answer becomes the stable point; the offered
+// load is frac*p.peak.
+func (p *prober) run(ctx context.Context, frac float64) (bool, error) {
 	c := p.cfg
-	c.FluidApprox = false
 	c.ArrivalRate = frac * p.peak
 	if p.cols == nil {
-		r, err := RunContext(ctx, c)
-		if err != nil {
-			return point{}, err
-		}
-		if !r.Saturated {
-			p.keepP95(r.P95)
-		}
-		return point{offered: r.Offered, saturated: r.Saturated}, nil
+		// The capacity is not positive and finite, so neither is this
+		// arrival rate, and RunContext reports it.
+		_, err := RunContext(ctx, c)
+		return false, err
 	}
 	if err := sweep(ctx, c, p.chk, p.cols, p.spare); err != nil {
-		return point{}, err
+		return false, err
 	}
-	pt := point{offered: c.ArrivalRate}
 	if p.chk != nil {
 		r := summarize(c, p.chk, *p.spare)
-		pt.saturated = r.Saturated
-		if !pt.saturated {
-			p.keepP95(r.P95)
+		if !r.Saturated {
+			p.p95, p.keptLat = r.P95, false
 		}
-		return pt, nil
+		return r.Saturated, nil
 	}
-	pt.saturated = saturated(c, *p.spare)
-	if !pt.saturated {
-		p.kept, p.spare = p.spare, p.kept
-		p.keptLat = true
+	if saturated(c, *p.spare) {
+		return true, nil
 	}
-	return pt, nil
+	p.kept, p.spare = p.spare, p.kept
+	p.keptLat = true
+	return false, nil
 }
-
-// screen is the fluid search's floor probe: the fluid model answers it
-// when the load is fluid-eligible, otherwise it is an ordinary run.
-func (p *prober) screen(ctx context.Context, frac float64) (point, error) {
-	c := p.cfg
-	c.ArrivalRate = frac * p.peak
-	if r, ok := fluidResult(c); ok {
-		p.keepP95(r.P95)
-		return point{offered: r.Offered, fluid: true}, nil
-	}
-	return p.run(ctx, frac)
-}
-
-func (p *prober) keepP95(v float64) { p.p95, p.keptLat = v, false }
 
 // stableP95 returns the stable point's P95, selecting it from the kept
 // latencies the first time it is asked for.
@@ -188,194 +196,4 @@ func (p *prober) stableP95() float64 {
 		p.p95, p.keptLat = stats.SelectPercentile(*p.kept, 95), false
 	}
 	return p.p95
-}
-
-// kneeSearchDiscrete is the purely discrete-event bracketing search.
-func kneeSearchDiscrete(ctx context.Context, p *prober, loFrac, hiFrac, tolFrac float64) (Knee, error) {
-	var k Knee
-	eval := func(frac float64) (point, error) {
-		k.Evals++
-		return p.run(ctx, frac)
-	}
-
-	lo, err := eval(loFrac)
-	if err != nil {
-		return Knee{}, err
-	}
-	if lo.saturated {
-		// The whole bracket is past the knee; report its lower edge.
-		k.Found = true
-		k.KneeFrac, k.KneeQPS = loFrac, lo.offered
-		return k, nil
-	}
-	k.StableFrac, k.StableQPS = loFrac, lo.offered
-	hi, err := eval(hiFrac)
-	if err != nil {
-		return Knee{}, err
-	}
-	if !hi.saturated {
-		// Still stable at the top of the bracket: no knee inside.
-		k.StableFrac, k.StableQPS = hiFrac, hi.offered
-		k.StableP95 = p.stableP95()
-		return k, nil
-	}
-	k.Found = true
-	k.KneeFrac, k.KneeQPS = hiFrac, hi.offered
-
-	loF, hiF := loFrac, hiFrac
-	for hiF-loF > tolFrac {
-		mid := loF + (hiF-loF)/2
-		res, err := eval(mid)
-		if err != nil {
-			return Knee{}, err
-		}
-		if res.saturated {
-			hiF = mid
-			k.KneeFrac, k.KneeQPS = mid, res.offered
-		} else {
-			loF = mid
-			k.StableFrac, k.StableQPS = mid, res.offered
-		}
-	}
-	k.StableP95 = p.stableP95()
-	return k, nil
-}
-
-// kneeSearchFluid is the fluid-guided search. ok is false when the
-// service distribution hides its moments, in which case the caller
-// falls back to the purely discrete search.
-func kneeSearchFluid(ctx context.Context, p *prober, loFrac, hiFrac, tolFrac float64) (Knee, bool, error) {
-	est, okEst := fluidKneeFrac(p.cfg)
-	if !okEst {
-		return Knee{}, false, nil
-	}
-	var k Knee
-	evalD := func(frac float64) (point, error) {
-		k.Evals++
-		return p.run(ctx, frac)
-	}
-	stableFluid := false
-	setStable := func(frac float64, r point) {
-		k.StableFrac, k.StableQPS = frac, r.offered
-		stableFluid = r.fluid
-	}
-	setKnee := func(frac float64, r point) {
-		k.Found = true
-		k.KneeFrac, k.KneeQPS = frac, r.offered
-	}
-
-	// Screening probe at the bracket floor: the fluid model answers it
-	// when the load is inside the fluid threshold; otherwise this is an
-	// ordinary discrete evaluation.
-	lo, err := p.screen(ctx, loFrac)
-	if err != nil {
-		return Knee{}, true, err
-	}
-	if lo.fluid {
-		k.FluidEvals++
-	} else {
-		k.Evals++
-	}
-	if lo.saturated {
-		// The fluid model never reports saturation, so this verdict is
-		// discrete: the whole bracket is past the knee.
-		setKnee(loFrac, lo)
-		return k, true, nil
-	}
-	setStable(loFrac, lo)
-
-	// Narrow the bracket around the analytic estimate before paying for
-	// endpoint simulations far from the knee.
-	margin := 4 * tolFrac
-	if margin < 0.05 {
-		margin = 0.05
-	}
-	loF, hiF := loFrac, hiFrac
-	haveHi := false
-	if ghi := est + margin; ghi > loF && ghi < hiF {
-		res, err := evalD(ghi)
-		if err != nil {
-			return Knee{}, true, err
-		}
-		if res.saturated {
-			hiF = ghi
-			setKnee(ghi, res)
-			haveHi = true
-		} else {
-			loF = ghi
-			setStable(ghi, res)
-		}
-	}
-	if haveHi {
-		if glo := est - margin; glo > loF {
-			res, err := evalD(glo)
-			if err != nil {
-				return Knee{}, true, err
-			}
-			if res.saturated {
-				hiF = glo
-				setKnee(glo, res)
-			} else {
-				loF = glo
-				setStable(glo, res)
-			}
-		}
-	} else {
-		res, err := evalD(hiF)
-		if err != nil {
-			return Knee{}, true, err
-		}
-		if !res.saturated {
-			// Still stable at the top of the bracket: no knee inside.
-			setStable(hiF, res)
-			k.StableP95 = p.stableP95()
-			return k, true, nil
-		}
-		setKnee(hiF, res)
-	}
-
-	for hiF-loF > tolFrac {
-		mid := loF + (hiF-loF)/2
-		res, err := evalD(mid)
-		if err != nil {
-			return Knee{}, true, err
-		}
-		if res.saturated {
-			hiF = mid
-			setKnee(mid, res)
-		} else {
-			loF = mid
-			setStable(mid, res)
-		}
-	}
-
-	if stableFluid {
-		// The returned stable point must be simulation-sourced: re-run
-		// the fluid-screened endpoint discretely, and if the screen's
-		// stability verdict does not survive simulation, discard the
-		// guided search entirely.
-		res, err := evalD(k.StableFrac)
-		if err != nil {
-			return Knee{}, true, err
-		}
-		if res.saturated {
-			kd, err := kneeSearchDiscrete(ctx, p, loFrac, hiFrac, tolFrac)
-			kd.Evals += k.Evals
-			kd.FluidEvals = k.FluidEvals
-			return kd, true, err
-		}
-		setStable(k.StableFrac, res)
-	}
-	k.StableP95 = p.stableP95()
-	if p.chk != nil && k.Found && k.FluidEvals > 0 {
-		// Canary for the fluid containment contract: the only fluid
-		// answer is the loFrac screen, which must sit at or below the
-		// returned stable endpoint, never inside the bracket.
-		if loFrac > k.StableFrac && loFrac < k.KneeFrac {
-			audit.Failf(p.chk, "queueing", "fluid-in-bracket",
-				"fluid screening eval at %g landed inside the knee bracket (%g, %g)",
-				loFrac, k.StableFrac, k.KneeFrac)
-		}
-	}
-	return k, true, nil
 }

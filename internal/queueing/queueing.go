@@ -11,12 +11,14 @@
 //
 // The kernel is built for sweep throughput: service distributions fold
 // their constants once per run (Prepare), samples come from ziggurat
-// fast paths unless Config.ReferenceSampling asks for the bit-exact
-// reference samplers, latency percentiles come from quickselect over a
-// pooled buffer, and the sweep APIs (CurveContext, TrialsContext) fan
-// out through the shared evaluation engine with deterministic,
-// index-slotted results. KneeSearch draws its random columns once and
-// shares them across its probes (knee.go).
+// fast paths, the batched event loop dispatches them over a binary
+// heap of server next-free times (batch.go), latency percentiles come
+// from quickselect over a pooled buffer, and the sweep APIs
+// (CurveContext, TrialsContext) fan out through the shared evaluation
+// engine with deterministic, index-slotted results. KneeSearch draws
+// its random columns once and shares them across its probes (knee.go).
+// The scalar per-request loop the batched loop is proven against is a
+// test-only oracle (internal/oracle).
 package queueing
 
 import (
@@ -37,14 +39,15 @@ type Sampler interface {
 }
 
 // ServiceDist describes a request service-time distribution in seconds.
-// Prepare is the once-per-run step that precomputes derived parameters
-// (a log-normal's mu/sigma) and selects the sampling implementation:
-// reference=true returns a sampler bit-compatible with the original
-// per-sample Sample path, reference=false the ziggurat fast path.
+// Sample draws one service time with the per-draw reference samplers,
+// re-deriving the distribution's parameters each call. Prepare is the
+// once-per-run step the simulator uses: it precomputes derived
+// parameters (a log-normal's mu/sigma) and returns the ziggurat fast
+// path.
 type ServiceDist interface {
 	Sample(r *stats.RNG) float64
 	Mean() float64
-	Prepare(reference bool) Sampler
+	Prepare() Sampler
 }
 
 // LogNormal is a log-normal service-time distribution specified by its
@@ -76,14 +79,11 @@ func (l LogNormal) Sample(r *stats.RNG) float64 {
 // Prepare implements ServiceDist: mu and sigma are computed once here
 // instead of once per sample (two logs and a square root per request on
 // the old path).
-func (l LogNormal) Prepare(reference bool) Sampler {
+func (l LogNormal) Prepare() Sampler {
 	if l.CV <= 0 {
 		return constSampler(l.MeanSeconds)
 	}
 	mu, sigma := l.params()
-	if reference {
-		return refLogNormal{mu: mu, sigma: sigma}
-	}
 	return fastLogNormal{mu: mu, sigma: sigma}
 }
 
@@ -97,28 +97,15 @@ func (e Exponential) Mean() float64 { return e.MeanSeconds }
 func (e Exponential) Sample(r *stats.RNG) float64 { return r.Exp(e.MeanSeconds) }
 
 // Prepare implements ServiceDist.
-func (e Exponential) Prepare(reference bool) Sampler {
-	if reference {
-		return refExp(e.MeanSeconds)
-	}
-	return fastExp(e.MeanSeconds)
-}
+func (e Exponential) Prepare() Sampler { return fastExp(e.MeanSeconds) }
 
 type constSampler float64
 
 func (c constSampler) Sample(*stats.RNG) float64 { return float64(c) }
 
-type refLogNormal struct{ mu, sigma float64 }
-
-func (s refLogNormal) Sample(r *stats.RNG) float64 { return r.LogNormal(s.mu, s.sigma) }
-
 type fastLogNormal struct{ mu, sigma float64 }
 
 func (s fastLogNormal) Sample(r *stats.RNG) float64 { return r.FastLogNormal(s.mu, s.sigma) }
-
-type refExp float64
-
-func (m refExp) Sample(r *stats.RNG) float64 { return r.Exp(float64(m)) }
 
 type fastExp float64
 
@@ -132,36 +119,6 @@ type Config struct {
 	Warmup      int // requests discarded before measurement
 	Requests    int // measured requests
 	Seed        uint64
-	// ReferenceSampling selects the pre-optimization reference kernel:
-	// the original per-draw samplers (logarithm per exponential,
-	// Box–Muller per normal, distribution parameters recomputed every
-	// sample), per-call percentile statistics, and an unpooled latency
-	// buffer. Results are bit-identical to the kernel before the fast
-	// paths landed — the mode differential tests and the gsfbench gate
-	// compare against. The fast path draws a different sequence that is
-	// statistically equivalent (KS-tested) but not bit-compatible.
-	ReferenceSampling bool
-	// ReferenceEventLoop selects the scalar per-request event loop (the
-	// PR 5 kernel, retained verbatim) instead of the batched
-	// structure-of-arrays loop. It composes with ReferenceSampling: the
-	// batched loop interleaves its bulk draws per request in the exact
-	// scalar order, so for every (ReferenceSampling, seed) pair the two
-	// loops produce bit-identical Results — the differential wall in
-	// batch_test.go proves it across 35 seeds.
-	ReferenceEventLoop bool
-	// FluidApprox opts into the analytic fluid approximation: when the
-	// configured load sits at or below FluidThreshold of capacity (and
-	// the service distribution exposes its moments), Run answers from a
-	// closed-form M/G/k model instead of simulating, and KneeSearch uses
-	// the analytic knee estimate to pre-shrink its bracket. Results from
-	// the fluid path carry Result.Fluid = true and are approximations,
-	// never bit-comparable to discrete-event output; the property tests
-	// in fluid_test.go bound the error. Off by default, and ignored when
-	// either reference mode is set.
-	FluidApprox bool
-	// FluidThreshold is the utilization (offered / capacity) at or below
-	// which FluidApprox may answer. Zero means the default of 0.7.
-	FluidThreshold float64
 	// Audit receives invariant violations (event-clock monotonicity,
 	// service ordering, heap integrity, percentile ordering, sample
 	// domain). Nil falls back to the process default (audit.SetDefault);
@@ -180,10 +137,6 @@ type Result struct {
 	// Saturated reports that the queue was unstable: offered load at
 	// or above capacity, detected by latency growth across the run.
 	Saturated bool
-	// Fluid reports that this result came from the closed-form fluid
-	// approximation (Config.FluidApprox) rather than a discrete-event
-	// simulation. Always false on the discrete paths.
-	Fluid bool
 }
 
 // serverHeap is a min-heap over each server's next-free time. The heap
@@ -242,30 +195,37 @@ func Run(cfg Config) (Result, error) {
 // 4096 requests — cheap enough to be invisible in profiles — and
 // returns the context error once observed.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
-	if cfg.Servers <= 0 {
-		return Result{}, fmt.Errorf("queueing: servers must be positive, got %d", cfg.Servers)
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
 	}
-	if cfg.ArrivalRate <= 0 {
-		return Result{}, fmt.Errorf("queueing: arrival rate must be positive, got %v", cfg.ArrivalRate)
-	}
-	if cfg.Service == nil {
-		return Result{}, fmt.Errorf("queueing: no service distribution")
-	}
-	cfg = withDefaults(cfg)
-	if cfg.FluidApprox && !cfg.ReferenceEventLoop && !cfg.ReferenceSampling {
-		if res, ok := fluidResult(cfg); ok {
-			return res, nil
-		}
-	}
-	if !cfg.ReferenceEventLoop {
-		return runBatched(ctx, cfg)
-	}
-	return runReference(ctx, cfg)
+	return runBatched(ctx, cfg.WithDefaults())
 }
 
-// withDefaults fills in the request counts RunContext uses when cfg
-// leaves them unset: 20000 measured requests after a 10% warmup.
-func withDefaults(cfg Config) Config {
+// Validate reports why cfg cannot be simulated: servers and arrival
+// rate must be positive, the rate and the service mean finite.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.Servers <= 0:
+		return fmt.Errorf("queueing: servers must be positive, got %d", cfg.Servers)
+	case cfg.ArrivalRate <= 0:
+		return fmt.Errorf("queueing: arrival rate must be positive, got %v", cfg.ArrivalRate)
+	case !finite(cfg.ArrivalRate):
+		return fmt.Errorf("queueing: arrival rate must be finite, got %v", cfg.ArrivalRate)
+	case cfg.Service == nil:
+		return fmt.Errorf("queueing: no service distribution")
+	case !finite(cfg.Service.Mean()):
+		return fmt.Errorf("queueing: service mean must be finite, got %v", cfg.Service.Mean())
+	}
+	return nil
+}
+
+// finite reports that v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// WithDefaults returns cfg with the request counts RunContext uses
+// when cfg leaves them unset: 20000 measured requests after a 10%
+// warmup.
+func (cfg Config) WithDefaults() Config {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 20000
 	}
@@ -273,139 +233,6 @@ func withDefaults(cfg Config) Config {
 		cfg.Warmup = cfg.Requests / 10
 	}
 	return cfg
-}
-
-// runReference is the scalar per-request event loop — the PR 5 kernel,
-// retained verbatim behind Config.ReferenceEventLoop as the
-// bit-identical baseline the batched loop is proven against.
-func runReference(ctx context.Context, cfg Config) (Result, error) {
-	r := stats.NewRNG(cfg.Seed)
-	chk := audit.Resolve(cfg.Audit)
-	reference := cfg.ReferenceSampling
-	var sampler Sampler
-	if !reference {
-		sampler = cfg.Service.Prepare(false)
-	}
-
-	// All servers start free at t=0; an all-equal slice is already a
-	// valid min-heap.
-	free := make(serverHeap, cfg.Servers)
-
-	total := cfg.Warmup + cfg.Requests
-	var latencies []float64
-	if reference {
-		// The reference kernel allocates a fresh buffer per run, as the
-		// pre-pool implementation did; the benchmark gate times it.
-		latencies = make([]float64, 0, cfg.Requests)
-	} else {
-		buf := getLatencyBuf(cfg.Requests)
-		latencies = *buf
-		defer func() {
-			*buf = latencies[:0]
-			latencyPool.Put(buf)
-		}()
-	}
-	now := 0.0
-	meanIA := 1 / cfg.ArrivalRate
-	for i := 0; i < total; i++ {
-		if i&4095 == 0 {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-			if chk != nil {
-				auditHeap(chk, free)
-			}
-		}
-		prev := now
-		var s float64
-		if reference {
-			// Original per-request path: reference samplers, and the
-			// distribution re-derives its parameters every sample.
-			now += r.Exp(meanIA)
-			s = cfg.Service.Sample(r)
-		} else {
-			now += r.FastExp(meanIA)
-			s = sampler.Sample(r)
-		}
-		freeAt := free[0]
-		start := now
-		if freeAt > start {
-			start = freeAt
-		}
-		done := start + s
-		if chk != nil {
-			// Samples must stay in the distributions' domain (a broken
-			// fast sampler would surface here), the event clock may
-			// only move forward, a request may not start before it
-			// arrives or complete before it starts, and its latency
-			// includes at least its own service time.
-			if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-				audit.Failf(chk, "queueing", "sample-domain",
-					"service sample %g outside [0, inf) at request %d", s, i)
-			}
-			if now < prev || math.IsNaN(now) {
-				audit.Failf(chk, "queueing", "clock-monotonicity",
-					"arrival clock moved backwards: %g -> %g at request %d", prev, now, i)
-			}
-			if start < now {
-				audit.Failf(chk, "queueing", "start-before-arrival",
-					"request %d started at %g before arrival %g", i, start, now)
-			}
-			if done < start {
-				audit.Failf(chk, "queueing", "completion-before-start",
-					"request %d completed at %g before start %g", i, done, start)
-			}
-			if lat := done - now; lat < s-audit.SimTol {
-				audit.Failf(chk, "queueing", "latency-below-service",
-					"request %d latency %g below service time %g", i, lat, s)
-			}
-		}
-		free[0] = done
-		free.siftDown(0)
-		if i >= cfg.Warmup {
-			latencies = append(latencies, done-now)
-		}
-	}
-
-	// Saturation: the measured window's tail grows relative to its
-	// head, the signature of an unstable queue in a finite run. Read in
-	// arrival order, before Summarize sorts the buffer in place.
-	var head, tail float64
-	q := len(latencies) / 4
-	if q > 0 {
-		head = stats.Mean(latencies[:q])
-		tail = stats.Mean(latencies[len(latencies)-q:])
-	}
-	var sum stats.Summary
-	if reference {
-		// Original statistics path: one copy-and-sort per percentile.
-		sum = stats.Summary{
-			P50:  stats.Percentile(latencies, 50),
-			P95:  stats.Percentile(latencies, 95),
-			P99:  stats.Percentile(latencies, 99),
-			Mean: stats.Mean(latencies),
-		}
-	} else {
-		sum = stats.Summarize(latencies)
-	}
-	res := Result{
-		Offered:     cfg.ArrivalRate,
-		P50:         sum.P50,
-		P95:         sum.P95,
-		P99:         sum.P99,
-		Mean:        sum.Mean,
-		Utilization: cfg.ArrivalRate * cfg.Service.Mean() / float64(cfg.Servers),
-	}
-	if q > 0 && (res.Utilization >= 1 || tail > 3*head) {
-		res.Saturated = true
-	}
-	if chk != nil {
-		if !(res.P50 <= res.P95+audit.SimTol) || !(res.P95 <= res.P99+audit.SimTol) {
-			audit.Failf(chk, "queueing", "percentile-order",
-				"latency percentiles unordered: P50=%g P95=%g P99=%g", res.P50, res.P95, res.P99)
-		}
-	}
-	return res, nil
 }
 
 // auditHeap verifies the free-server heap still satisfies the min-heap
@@ -469,11 +296,11 @@ func Curve(servers int, s ServiceDist, loFrac, hiFrac float64, steps int, seed u
 }
 
 // CurveContext is Curve with cancellation and full Config control:
-// cfg supplies the queue shape, request counts, sampling mode, and the
-// audit checker (which the plain Curve API could not thread through);
-// cfg.ArrivalRate is overridden per step with the swept load. Steps fan
-// out across the evaluation engine with index-slotted results, so the
-// curve is identical however many workers run it.
+// cfg supplies the queue shape, request counts, and the audit checker
+// (which the plain Curve API could not thread through); cfg.ArrivalRate
+// is overridden per step with the swept load. Steps fan out across the
+// evaluation engine with index-slotted results, so the curve is
+// identical however many workers run it.
 func CurveContext(ctx context.Context, cfg Config, loFrac, hiFrac float64, steps int) ([]CurvePoint, error) {
 	if steps < 2 {
 		return nil, fmt.Errorf("queueing: curve needs at least 2 steps")

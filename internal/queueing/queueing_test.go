@@ -2,6 +2,7 @@ package queueing
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -175,14 +176,25 @@ func TestTrials(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{Servers: 0, ArrivalRate: 1, Service: Exponential{0.001}},
-		{Servers: 1, ArrivalRate: 0, Service: Exponential{0.001}},
-		{Servers: 1, ArrivalRate: 1},
+	bad := []struct {
+		name string
+		cfg  Config
+		want string // error substring
+	}{
+		{"no servers", Config{Servers: 0, ArrivalRate: 1, Service: Exponential{0.001}}, "servers must be positive"},
+		{"zero rate", Config{Servers: 1, ArrivalRate: 0, Service: Exponential{0.001}}, "arrival rate must be positive"},
+		{"negative rate", Config{Servers: 1, ArrivalRate: -1, Service: Exponential{0.001}}, "arrival rate must be positive"},
+		{"-Inf rate", Config{Servers: 1, ArrivalRate: math.Inf(-1), Service: Exponential{0.001}}, "arrival rate must be positive"},
+		{"NaN rate", Config{Servers: 1, ArrivalRate: math.NaN(), Service: Exponential{0.001}}, "arrival rate must be finite"},
+		{"+Inf rate", Config{Servers: 1, ArrivalRate: math.Inf(1), Service: Exponential{0.001}}, "arrival rate must be finite"},
+		{"no service", Config{Servers: 1, ArrivalRate: 1}, "no service distribution"},
+		{"NaN service mean", Config{Servers: 1, ArrivalRate: 1, Service: LogNormal{math.NaN(), 1}}, "service mean must be finite"},
+		{"+Inf service mean", Config{Servers: 1, ArrivalRate: 1, Service: Exponential{math.Inf(1)}}, "service mean must be finite"},
 	}
-	for i, cfg := range bad {
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("case %d: Run accepted invalid config", i)
+	for _, c := range bad {
+		_, err := Run(c.cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), "queueing: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Run error %v, want a queueing error containing %q", c.name, err, c.want)
 		}
 	}
 	if _, err := Curve(1, Exponential{0.001}, 0.1, 1, 1, 0); err == nil {

@@ -1,5 +1,5 @@
 //go:build race
 
-package queueing
+package queueing_test
 
 func init() { raceEnabled = true }

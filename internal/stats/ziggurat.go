@@ -16,10 +16,10 @@ package stats
 // The fast samplers draw a *different* random sequence than the
 // reference ones, so results are statistically equivalent but not
 // bit-identical. Callers that need bit-compatibility with the reference
-// stream (golden results, differential tests) keep using Exp/Normal;
-// the queueing simulator exposes the choice as Config.ReferenceSampling
-// and the KS-distance tests in this package prove the two modes sample
-// the same distributions.
+// stream keep using Exp/Normal: the queueing simulator always draws
+// through the fast paths, and its test-only oracle (internal/oracle)
+// keeps the reference samplers to compare against. The KS-distance
+// tests in this package prove the two sample the same distributions.
 //
 // Tables are built once at init from the published tail roots and strip
 // areas rather than embedded as opaque constants, and an init check
