@@ -70,8 +70,8 @@ func BenchmarkExtDesignSearch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		savings = r.Exhaustive.Savings
-		evals = r.Exhaustive.Evaluated
+		savings = r.Optimum.Savings
+		evals = r.Optimum.Candidates
 	}
 	b.ReportMetric(savings*100, "optimal-savings-%")
 	b.ReportMetric(float64(evals), "designs-evaluated")

@@ -12,7 +12,8 @@
 // Paper experiments: fig1 fig2 fig7 fig8 fig9 fig10 fig11 fig12 table1
 // table2 table3 table4 table8 sec5 maintenance sec7 lowload.
 // Extension studies: memtier storage power growth lifetime harvest
-// diversity search dynci frontier.
+// diversity dynci, and two views of the §VIII design space: search
+// (its carbon-optimal design) and frontier (its Pareto set).
 package main
 
 import (

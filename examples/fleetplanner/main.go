@@ -25,10 +25,10 @@ import (
 	"github.com/greensku/gsf/internal/carbondata"
 	"github.com/greensku/gsf/internal/cluster"
 	"github.com/greensku/gsf/internal/core"
+	"github.com/greensku/gsf/internal/design"
 	"github.com/greensku/gsf/internal/growth"
 	"github.com/greensku/gsf/internal/harvest"
 	"github.com/greensku/gsf/internal/hw"
-	"github.com/greensku/gsf/internal/search"
 	"github.com/greensku/gsf/internal/trace"
 	"github.com/greensku/gsf/internal/units"
 )
@@ -37,22 +37,22 @@ func main() {
 	const region = "Azure-us-east"
 	const regionCI = units.CarbonIntensity(0.095)
 	data := carbondata.OpenSource()
-
-	// 1. Design: carbon-optimal SKU for this grid.
-	best, err := search.Exhaustive(search.DefaultSpace(), search.DefaultConstraints(), data.Name, regionCI)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("[design]  %s: optimal SKU %s (%.1f kgCO2e/core, %.1f%% savings over %d candidates)\n",
-		region, best.SKU.Name, float64(best.PerCore), best.Savings*100, best.Evaluated)
-
-	// 2. Cluster: size a mixed fleet for a two-week workload. The
-	// optimal design and the catalog GreenSKUs are evaluated in one
-	// engine fan-out; each SKU's performance profile is computed once.
 	m, err := carbon.New(data)
 	if err != nil {
 		log.Fatal(err)
 	}
+
+	// 1. Design: carbon-optimal SKU for this grid.
+	best, err := design.MinCarbon(design.DefaultSpace(), design.DefaultConstraints(), m, regionCI)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("[design]  %s: optimal SKU %s (%.1f kgCO2e/core, %.1f%% savings over %d candidates)\n",
+		region, best.SKU.Name, float64(best.PerCore), best.Savings*100, best.Candidates)
+
+	// 2. Cluster: size a mixed fleet for a two-week workload. The
+	// optimal design and the catalog GreenSKUs are evaluated in one
+	// engine fan-out; each SKU's performance profile is computed once.
 	fw := core.New(m)
 	workload, err := trace.Generate(trace.DefaultParams("fleetplanner", 20240407))
 	if err != nil {

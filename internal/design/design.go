@@ -3,20 +3,20 @@ package design
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/greensku/gsf/internal/audit"
 	"github.com/greensku/gsf/internal/carbon"
 	"github.com/greensku/gsf/internal/carbondata"
 	"github.com/greensku/gsf/internal/engine"
 	"github.com/greensku/gsf/internal/hw"
-	"github.com/greensku/gsf/internal/search"
 	"github.com/greensku/gsf/internal/units"
 )
 
 // Options configure one frontier search.
 type Options struct {
-	Space       search.Space
-	Constraints search.Constraints
+	Space       Space
+	Constraints Constraints
 	Dataset     string
 	// CI is the grid carbon intensity; zero selects the dataset default.
 	CI      units.CarbonIntensity
@@ -37,11 +37,11 @@ type Options struct {
 
 // DefaultGPUOptions spans the accelerator corner of the space: no
 // card, and two or four of each catalog part.
-func DefaultGPUOptions() []search.GPUOption {
-	opts := []search.GPUOption{{}}
+func DefaultGPUOptions() []GPUOption {
+	opts := []GPUOption{{}}
 	for _, g := range hw.GPUCatalog() {
 		for _, n := range []int{2, 4} {
-			opts = append(opts, search.GPUOption{Spec: g, Count: n})
+			opts = append(opts, GPUOption{Spec: g, Count: n})
 		}
 	}
 	return opts
@@ -51,11 +51,11 @@ func DefaultGPUOptions() []search.GPUOption {
 // neighbourhood widened with the accelerator dimension, evaluated on
 // the open dataset at its default CI.
 func DefaultOptions() Options {
-	sp := search.DefaultSpace()
+	sp := DefaultSpace()
 	sp.GPUOptions = DefaultGPUOptions()
 	return Options{
 		Space:       sp,
-		Constraints: search.DefaultConstraints(),
+		Constraints: DefaultConstraints(),
 		Dataset:     "open-source",
 		Perf:        DefaultPerfOptions(),
 		Epsilon:     DefaultEpsilon(),
@@ -69,23 +69,62 @@ func DefaultOptions() Options {
 // rack power budget) out of the evaluation fan-out, so an evaluation
 // error downstream always signals a real fault, never a bad corner of
 // the space.
-func Candidates(sp search.Space, c search.Constraints, m *carbon.Model) ([]hw.SKU, error) {
-	var out []hw.SKU
-	for _, d := range sp.Designs() {
-		if !sp.Feasible(d, c) {
-			continue
-		}
-		sku := sp.SKU(d)
+func Candidates(sp Space, c Constraints, m *carbon.Model) ([]hw.SKU, error) {
+	skus := sp.feasible(c)
+	out := skus[:0]
+	for _, sku := range skus {
 		rack, err := m.Rack(sku)
 		if err != nil {
 			return nil, err
 		}
-		if rack.Cores == 0 {
-			continue
+		if rack.Cores > 0 {
+			out = append(out, sku)
 		}
-		out = append(out, sku)
 	}
 	return out, nil
+}
+
+// Optimum is the carbon-optimal candidate of a space.
+type Optimum struct {
+	SKU     hw.SKU
+	PerCore units.KgCO2e
+	// Savings is the per-core saving against the Gen3 baseline.
+	Savings float64
+	// Candidates counts the designs ranked.
+	Candidates int
+}
+
+// MinCarbon returns the candidate with the least carbon per core at ci
+// (zero selects the dataset default), ties going to the first in
+// enumeration order: the carbon-only corner of the space, for callers
+// that want one design rather than a frontier.
+func MinCarbon(sp Space, c Constraints, m *carbon.Model, ci units.CarbonIntensity) (Optimum, error) {
+	if ci == 0 {
+		ci = m.Data.DefaultCI
+	}
+	skus, err := Candidates(sp, c, m)
+	if err != nil {
+		return Optimum{}, err
+	}
+	best := Optimum{PerCore: units.KgCO2e(math.Inf(1)), Candidates: len(skus)}
+	for _, sku := range skus {
+		pc, err := m.PerCore(sku, ci)
+		if err != nil {
+			return Optimum{}, err
+		}
+		if pc.Total() < best.PerCore {
+			best.SKU, best.PerCore = sku, pc.Total()
+		}
+	}
+	if math.IsInf(float64(best.PerCore), 1) {
+		return Optimum{}, fmt.Errorf("design: no feasible candidates in the space")
+	}
+	base, err := m.PerCore(hw.BaselineGen3(), ci)
+	if err != nil {
+		return Optimum{}, err
+	}
+	best.Savings = 1 - float64(best.PerCore)/float64(base.Total())
+	return best, nil
 }
 
 // Verdict classifies one extra SKU against the searched frontier.

@@ -12,22 +12,21 @@ import (
 	"github.com/greensku/gsf/internal/carbondata"
 	"github.com/greensku/gsf/internal/hw"
 	"github.com/greensku/gsf/internal/perf"
-	"github.com/greensku/gsf/internal/search"
 	"github.com/greensku/gsf/internal/units"
 )
 
 // tinySpace is a small but non-trivial space: two CPUs, a CXL corner,
 // and a GPU option — eight feasible candidates over three distinct
 // performance profiles.
-func tinySpace() search.Space {
-	return search.Space{
+func tinySpace() Space {
+	return Space{
 		CPUs:            []hw.CPUSpec{hw.Genoa, hw.Bergamo},
 		LocalDIMMCounts: []int{12},
 		LocalDIMMGBs:    []units.GB{64, 96},
 		CXLDIMMCounts:   []int{0, 8},
 		NewSSDCounts:    []int{3},
 		ReusedSSDCounts: []int{0},
-		GPUOptions:      []search.GPUOption{{}, {Spec: hw.L4, Count: 2}},
+		GPUOptions:      []GPUOption{{}, {Spec: hw.L4, Count: 2}},
 	}
 }
 
@@ -123,7 +122,7 @@ func TestSearchRejectsUndeployableSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skus, err := Candidates(tinySpace(), search.DefaultConstraints(), m)
+	skus, err := Candidates(tinySpace(), DefaultConstraints(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func TestCandidatesEnumerationOrderAndNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skus, err := Candidates(tinySpace(), search.DefaultConstraints(), m)
+	skus, err := Candidates(tinySpace(), DefaultConstraints(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

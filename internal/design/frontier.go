@@ -1,12 +1,16 @@
-// Package design searches the SKU component space for the
-// carbon/performance/density Pareto frontier the paper leaves as
-// future work (§VIII). It generates candidate servers from the
-// internal/hw catalog — CPU choice, socket count, DDR4-behind-CXL
-// ratio, reused-SSD tiers, and optional SCARIF-style accelerators —
-// fans their evaluation through internal/engine, and maintains the
-// set of mutually non-dominated designs in a Frontier whose dominance
-// order is a strict partial order, making the surviving set
-// independent of evaluation and insertion order.
+// Package design is the SKU design-space search the paper leaves as
+// future work (§VIII: "we expect that a future search framework could
+// consider such interactions and repeatedly run GSF to evaluate
+// emissions"). A Space spans the discrete component choices around
+// the internal/hw catalog — CPU choice, socket count, DIMM population,
+// DDR4-behind-CXL ratio, new and reused SSD tiers, and optional
+// SCARIF-style accelerators — and Constraints bound it by PCIe lanes,
+// memory ratio and storage floor. MinCarbon ranks the feasible
+// candidates on carbon per core alone; Search fans their evaluation
+// through internal/engine and maintains the set of mutually
+// non-dominated designs over carbon, performance and density in a
+// Frontier whose dominance order is a strict partial order, making the
+// surviving set independent of evaluation and insertion order.
 package design
 
 import (

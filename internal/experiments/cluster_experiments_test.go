@@ -103,3 +103,29 @@ func TestInterpolate(t *testing.T) {
 		t.Errorf("interpolate on empty = %v, want 0", got)
 	}
 }
+
+// TestCISweepRegionAverages pins the region-averaged summaries of the
+// Fig. 11 and Fig. 12 sections of EXPERIMENTS.md at their printed
+// precision (0.1 percentage points).
+func TestCISweepRegionAverages(t *testing.T) {
+	for _, c := range []struct {
+		dataset           string
+		clusterPct, dcPct float64
+	}{
+		{"paper-calibrated", 13.9, 7.9},
+		{"open-source", 12.3, 7.0},
+	} {
+		t.Run(c.dataset, func(t *testing.T) {
+			r, err := CISweep(DefaultCISweepOptions(c.dataset))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.AvgClusterSavings * 100; math.Abs(got-c.clusterPct) > 0.05 {
+				t.Errorf("region-averaged cluster savings %.3f%%, want %.1f%% ± 0.05 pp", got, c.clusterPct)
+			}
+			if got := r.DCSavings * 100; math.Abs(got-c.dcPct) > 0.05 {
+				t.Errorf("datacenter savings %.3f%%, want %.1f%% ± 0.05 pp", got, c.dcPct)
+			}
+		})
+	}
+}

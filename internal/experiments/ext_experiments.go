@@ -11,16 +11,16 @@ import (
 	"io"
 
 	"github.com/greensku/gsf/internal/analysis"
+	"github.com/greensku/gsf/internal/carbon"
 	"github.com/greensku/gsf/internal/carbondata"
+	"github.com/greensku/gsf/internal/design"
 	"github.com/greensku/gsf/internal/growth"
 	"github.com/greensku/gsf/internal/harvest"
 	"github.com/greensku/gsf/internal/hw"
 	"github.com/greensku/gsf/internal/memtier"
 	"github.com/greensku/gsf/internal/power"
 	"github.com/greensku/gsf/internal/report"
-	"github.com/greensku/gsf/internal/search"
 	"github.com/greensku/gsf/internal/storage"
-	"github.com/greensku/gsf/internal/units"
 )
 
 // MemTier runs the Pond-style tiering study behind GreenSKU-CXL's
@@ -187,49 +187,42 @@ func (r LifetimeResult) Render(w io.Writer) error {
 	return t.Render(w)
 }
 
-// DesignSearchResult compares exhaustive and local search over the
-// §VIII component space.
+// DesignSearchResult is the carbon-optimal design of the §VIII
+// component space at two grid intensities.
 type DesignSearchResult struct {
-	Exhaustive search.Result
-	HillClimb  search.Result
+	Optimum design.Optimum
 	// HighCI is the optimum at a coal-heavy grid, showing the design
 	// shift away from reuse.
-	HighCI search.Result
+	HighCI design.Optimum
 }
 
-// DesignSearch runs the design-space exploration.
+// DesignSearch ranks every feasible design of the §VIII space on
+// carbon per core under the open dataset.
 func DesignSearch() (DesignSearchResult, error) {
-	space := search.DefaultSpace()
-	cons := search.DefaultConstraints()
+	m, err := carbon.New(carbondata.OpenSource())
+	if err != nil {
+		return DesignSearchResult{}, err
+	}
+	space, cons := design.DefaultSpace(), design.DefaultConstraints()
 	var out DesignSearchResult
-	var err error
-	out.Exhaustive, err = search.Exhaustive(space, cons, "open-source", 0)
-	if err != nil {
+	if out.Optimum, err = design.MinCarbon(space, cons, m, 0); err != nil {
 		return out, err
 	}
-	out.HillClimb, err = search.HillClimb(space, cons, "open-source", 0, 6, 20240406)
-	if err != nil {
-		return out, err
-	}
-	out.HighCI, err = search.Exhaustive(space, cons, "open-source", units.CarbonIntensity(0.7))
-	if err != nil {
-		return out, err
-	}
-	return out, nil
+	out.HighCI, err = design.MinCarbon(space, cons, m, 0.7)
+	return out, err
 }
 
-// Render writes the search comparison.
+// Render writes both optima.
 func (r DesignSearchResult) Render(w io.Writer) error {
 	t := report.Table{
 		Title:  "§VIII design-space search (open data)",
 		Header: []string{"method", "best design", "per-core kgCO2e", "savings", "designs evaluated"},
 	}
-	row := func(name string, res search.Result) {
+	row := func(name string, res design.Optimum) {
 		t.AddRow(name, res.SKU.Name, fmt.Sprintf("%.1f", float64(res.PerCore)),
-			report.Pct(res.Savings), fmt.Sprint(res.Evaluated))
+			report.Pct(res.Savings), fmt.Sprint(res.Candidates))
 	}
-	row("exhaustive @ CI 0.1", r.Exhaustive)
-	row("hill climb @ CI 0.1", r.HillClimb)
+	row("exhaustive @ CI 0.1", r.Optimum)
 	row("exhaustive @ CI 0.7", r.HighCI)
 	return t.Render(w)
 }

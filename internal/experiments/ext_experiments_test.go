@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"github.com/greensku/gsf/internal/design"
 )
 
 func TestMemTierExperiment(t *testing.T) {
@@ -67,19 +70,40 @@ func TestGrowthStudyExperiment(t *testing.T) {
 	}
 }
 
+// TestDesignSearchExperiment pins the §VIII `search` row of
+// EXPERIMENTS.md at its printed precision.
 func TestDesignSearchExperiment(t *testing.T) {
 	r, err := DesignSearch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Exhaustive.Savings < 0.26 {
-		t.Fatalf("exhaustive optimum savings = %v, want >= 0.26", r.Exhaustive.Savings)
+	for _, c := range []struct {
+		label      string
+		got        design.Optimum
+		sku        string
+		perCore    float64
+		savingsPct float64
+	}{
+		{"CI 0.1", r.Optimum, "Bergamo-12x32G-12cxl-0ssd-12rssd", 25.4, 44.4},
+		{"CI 0.7", r.HighCI, "Bergamo-8x96G-0cxl-3ssd-0rssd", 124.7, 31.7},
+	} {
+		if c.got.Candidates != 289 {
+			t.Errorf("%s: %d candidates, want 289", c.label, c.got.Candidates)
+		}
+		if c.got.SKU.Name != c.sku {
+			t.Errorf("%s: optimum %s, want %s", c.label, c.got.SKU.Name, c.sku)
+		}
+		if d := math.Abs(float64(c.got.PerCore) - c.perCore); d > 0.05 {
+			t.Errorf("%s: %.3f kgCO2e/core, want %.1f ± 0.05", c.label, float64(c.got.PerCore), c.perCore)
+		}
+		if d := math.Abs(c.got.Savings*100 - c.savingsPct); d > 0.05 {
+			t.Errorf("%s: savings %.3f%%, want %.1f%% ± 0.05 pp", c.label, c.got.Savings*100, c.savingsPct)
+		}
 	}
-	// At a coal-heavy grid the optimum trades embodied reuse for
-	// operational efficiency: it must not save more than at CI 0.1
-	// through reuse-heavy designs.
-	if r.HighCI.SKU.Name == r.Exhaustive.SKU.Name {
-		t.Log("optimum identical across carbon intensities (acceptable but unexpected)")
+	// At a coal-heavy grid operational emissions dominate, and the
+	// optimum flips to an all-new configuration.
+	if r.HighCI.SKU.CXLDRAMGB() != 0 || r.HighCI.SKU.ReusedSSDTB() != 0 {
+		t.Errorf("CI 0.7 optimum %s reuses components", r.HighCI.SKU.Name)
 	}
 	var b strings.Builder
 	if err := r.Render(&b); err != nil {

@@ -18,7 +18,6 @@ import (
 	"github.com/greensku/gsf/internal/design"
 	"github.com/greensku/gsf/internal/hw"
 	"github.com/greensku/gsf/internal/report"
-	"github.com/greensku/gsf/internal/search"
 	"github.com/greensku/gsf/internal/units"
 )
 
@@ -36,14 +35,14 @@ func DefaultFrontierOptions() design.Options {
 // meaning — the trimmed space still straddles the paper's designs.
 func QuickFrontierOptions() design.Options {
 	opt := DefaultFrontierOptions()
-	opt.Space = search.Space{
+	opt.Space = design.Space{
 		CPUs:            []hw.CPUSpec{hw.Genoa, hw.Bergamo},
 		LocalDIMMCounts: []int{12},
 		LocalDIMMGBs:    []units.GB{64, 96},
 		CXLDIMMCounts:   []int{0, 8},
 		NewSSDCounts:    []int{3},
 		ReusedSSDCounts: []int{0},
-		GPUOptions:      []search.GPUOption{{}, {Spec: hw.L4, Count: 2}},
+		GPUOptions:      []design.GPUOption{{}, {Spec: hw.L4, Count: 2}},
 	}
 	opt.Perf.Base.Requests = 1500
 	opt.Perf.KneeLo, opt.Perf.KneeHi, opt.Perf.KneeTol = 0.5, 0.9, 0.1

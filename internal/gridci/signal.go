@@ -252,7 +252,9 @@ type WindowStats struct {
 
 // Stats computes mean, peak, and trough intensity over [t0, t1]. The
 // interpolant is linear between knots, so extremes occur at segment
-// endpoints.
+// endpoints. A time average lies inside that range, so the mean is
+// clamped to it: on a window only a few subnormals wide the integral
+// underflows, and the quotient would otherwise fall below the trough.
 func (s *Signal) Stats(t0, t1 units.Hours) WindowStats {
 	ws := WindowStats{Mean: s.MeanCI(t0, t1)}
 	a, b := float64(t0), float64(t1)
@@ -271,6 +273,7 @@ func (s *Signal) Stats(t0, t1 units.Hours) WindowStats {
 		ws.Peak = units.CarbonIntensity(math.Max(float64(ws.Peak), math.Max(c0, c1)))
 		ws.Trough = units.CarbonIntensity(math.Min(float64(ws.Trough), math.Min(c0, c1)))
 	})
+	ws.Mean = min(max(ws.Mean, ws.Trough), ws.Peak)
 	return ws
 }
 

@@ -169,6 +169,21 @@ func TestStatsAndFracBelow(t *testing.T) {
 	}
 }
 
+// TestStatsMeanInsideRangeOnSubnormalWindow covers a window one
+// subnormal wide: its integral underflows to zero, and the mean must
+// still lie between the trough and the peak.
+func TestStatsMeanInsideRangeOnSubnormalWindow(t *testing.T) {
+	s := &Signal{Name: "tiny", Samples: []Sample{{T: 0, CI: 0.1}, {T: 5e-324, CI: 0.2}}}
+	mustValid(t, s)
+	st := s.Stats(0, 5e-324)
+	if st.Trough != 0.1 || st.Peak != 0.2 {
+		t.Fatalf("stats = %+v, want trough 0.1 and peak 0.2", st)
+	}
+	if st.Mean < st.Trough || st.Mean > st.Peak {
+		t.Fatalf("mean %v outside [%v, %v]", st.Mean, st.Trough, st.Peak)
+	}
+}
+
 func TestDiurnalMeanAndPeriod(t *testing.T) {
 	s := Diurnal(DiurnalOptions{Name: "d", Mean: 0.1, Swing: 0.6})
 	mustValid(t, s)

@@ -25,14 +25,12 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"github.com/greensku/gsf/internal/carbon"
 	"github.com/greensku/gsf/internal/carbondata"
 	"github.com/greensku/gsf/internal/design"
 	"github.com/greensku/gsf/internal/engine"
 	"github.com/greensku/gsf/internal/hw"
-	"github.com/greensku/gsf/internal/search"
 	"github.com/greensku/gsf/internal/server/api"
 	"github.com/greensku/gsf/internal/units"
 )
@@ -43,7 +41,7 @@ import (
 const maxDesignCI = 1e3
 
 // designSpace resolves the configured candidate space.
-func (s *Server) designSpace() search.Space {
+func (s *Server) designSpace() design.Space {
 	if s.cfg.DesignSpace != nil {
 		return *s.cfg.DesignSpace
 	}
@@ -103,22 +101,26 @@ func (s *Server) newDesignPlan(req api.DesignRequest) (*designPlan, string, erro
 				delete(want, c.Name)
 			}
 		}
-		for name := range want {
-			return nil, "", fmt.Errorf("%w: cpu %q is not in the design space", errBadRequest, name)
+		// Report the first unknown name in request order, so the error
+		// does not depend on map iteration order.
+		for _, name := range req.CPUs {
+			if want[name] {
+				return nil, "", fmt.Errorf("%w: cpu %q is not in the design space", errBadRequest, name)
+			}
 		}
 		sp.CPUs = cpus
 	}
 	if req.MaxGPUs < 0 {
 		return nil, "", fmt.Errorf("%w: negative max_gpus %d", errBadRequest, req.MaxGPUs)
 	}
-	var gpus []search.GPUOption
+	var gpus []design.GPUOption
 	for _, g := range sp.GPUOptions {
 		if g.Count <= req.MaxGPUs {
 			gpus = append(gpus, g)
 		}
 	}
 	if len(gpus) == 0 {
-		gpus = []search.GPUOption{{}}
+		gpus = []design.GPUOption{{}}
 	}
 	sp.GPUOptions = gpus
 
@@ -133,7 +135,7 @@ func (s *Server) newDesignPlan(req api.DesignRequest) (*designPlan, string, erro
 	// A failure here is a dataset/space mismatch — the requested dataset
 	// has no carbon data for a CPU or GPU the space enumerates — which
 	// the client chose, not a server fault.
-	skus, err := design.Candidates(sp, search.DefaultConstraints(), m)
+	skus, err := design.Candidates(sp, design.DefaultConstraints(), m)
 	if err != nil {
 		return nil, "", fmt.Errorf("%w: design space is not evaluable under dataset %q: %v",
 			errBadRequest, d.name, err)
@@ -155,9 +157,9 @@ func (s *Server) newDesignPlan(req api.DesignRequest) (*designPlan, string, erro
 	popt := s.designPerf()
 	plan := &designPlan{d: d, ci: ci, popt: popt, skus: skus, extras: extras,
 		ev: design.NewEvaluator(m, ci, popt)}
-	key := cacheKey("design", d.name, fmtCI(ci),
-		strings.Join(req.CPUs, ","), strconv.Itoa(req.MaxGPUs),
-		strconv.FormatBool(req.IncludePaper),
+	// The filtered space stands for the cpus and max_gpus filters, so
+	// requests that select the same candidates share one entry.
+	key := cacheKey("design", d.name, fmtCI(ci), strconv.FormatBool(req.IncludePaper),
 		fmt.Sprintf("%#v|%#v", sp, popt))
 	return plan, key, nil
 }

@@ -10,7 +10,6 @@ import (
 
 	"github.com/greensku/gsf/internal/design"
 	"github.com/greensku/gsf/internal/hw"
-	"github.com/greensku/gsf/internal/search"
 	"github.com/greensku/gsf/internal/server/api"
 	"github.com/greensku/gsf/internal/units"
 )
@@ -18,15 +17,15 @@ import (
 // tinyDesignSpace mirrors the design package's test space: two CPUs, a
 // CXL corner, and a GPU option — a handful of candidates over three
 // performance profiles, fast enough for handler tests and fuzzing.
-func tinyDesignSpace() search.Space {
-	return search.Space{
+func tinyDesignSpace() design.Space {
+	return design.Space{
 		CPUs:            []hw.CPUSpec{hw.Genoa, hw.Bergamo},
 		LocalDIMMCounts: []int{12},
 		LocalDIMMGBs:    []units.GB{64, 96},
 		CXLDIMMCounts:   []int{0, 8},
 		NewSSDCounts:    []int{3},
 		ReusedSSDCounts: []int{0},
-		GPUOptions:      []search.GPUOption{{}, {Spec: hw.L4, Count: 2}},
+		GPUOptions:      []design.GPUOption{{}, {Spec: hw.L4, Count: 2}},
 	}
 }
 
@@ -249,5 +248,56 @@ func TestDesignCPUAndGPUFilters(t *testing.T) {
 	if rg.Candidates <= r0.Candidates {
 		t.Errorf("max_gpus=2 enumerated %d candidates, max_gpus=0 %d: GPU dimension never opened",
 			rg.Candidates, r0.Candidates)
+	}
+}
+
+// TestDesignUnknownCPUErrorDeterministic sends two unknown CPUs: the
+// error must name the first in request order every time, not whichever
+// a map iteration happens to visit first.
+func TestDesignUnknownCPUErrorDeterministic(t *testing.T) {
+	s := newTestServer(t, tinyDesignConfig())
+	h := s.Handler()
+	var first string
+	for i := 0; i < 20; i++ {
+		w := post(t, h, "/v1/design", `{"cpus":["Pentium","Xeon"]}`)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		if i == 0 {
+			first = w.Body.String()
+			if !strings.Contains(first, `\"Pentium\"`) || strings.Contains(first, "Xeon") {
+				t.Fatalf("error does not name the first unknown cpu: %s", first)
+			}
+		} else if w.Body.String() != first {
+			t.Fatalf("request %d answered %s, first answered %s", i, w.Body, first)
+		}
+	}
+}
+
+// TestDesignCPUFilterSharesCacheEntry sends CPU filters that select the
+// same space in different orders and with a repeat: they name the same
+// candidates, so the second and third requests are cache hits.
+func TestDesignCPUFilterSharesCacheEntry(t *testing.T) {
+	s := newTestServer(t, tinyDesignConfig())
+	h := s.Handler()
+	var first string
+	for i, body := range []string{
+		`{"cpus":["Bergamo","Genoa"]}`,
+		`{"cpus":["Genoa","Bergamo"]}`,
+		`{"cpus":["Genoa","Genoa","Bergamo"]}`,
+	} {
+		w := post(t, h, "/v1/design", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, w.Code, w.Body)
+		}
+		want := "hit"
+		if i == 0 {
+			want, first = "miss", w.Body.String()
+		} else if w.Body.String() != first {
+			t.Errorf("%s answered differently from the first request", body)
+		}
+		if got := w.Header().Get(api.HeaderCache); got != want {
+			t.Errorf("%s: X-Cache %q, want %q", body, got, want)
+		}
 	}
 }

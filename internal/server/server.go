@@ -33,7 +33,6 @@ import (
 	"github.com/greensku/gsf/internal/audit"
 	"github.com/greensku/gsf/internal/core"
 	"github.com/greensku/gsf/internal/design"
-	"github.com/greensku/gsf/internal/search"
 )
 
 // Config parameterises the service. The zero value is usable: every
@@ -62,7 +61,7 @@ type Config struct {
 	MaxDesignCandidates int
 	// DesignSpace overrides the /v1/design candidate space. Default:
 	// the design package's stock space (design.DefaultOptions).
-	DesignSpace *search.Space
+	DesignSpace *design.Space
 	// DesignPerf overrides the /v1/design performance protocol —
 	// simulation budget, knee bracket. Default: design.DefaultPerfOptions.
 	DesignPerf *design.PerfOptions
