@@ -8,10 +8,10 @@
 // The simulator replays a trace against a fixed cluster of baseline and
 // GreenSKU servers and reports rejections, packing densities, and
 // per-server memory-utilisation snapshots — the measurements behind
-// Figs. 9 and 10. Every replay, single- or multi-pool, runs on the
-// columnar fleet (colsim.go) with the placement index (index.go); the
-// linear scan those are proven against lives in internal/oracle, which
-// only tests and cmd/gsfbench import.
+// Figs. 9 and 10. Every replay, single- or multi-pool, steps one
+// simulator, Sim, over columnar fleets (colsim.go) with the placement
+// index (index.go); the linear scan those are proven against lives in
+// internal/oracle, which only tests and cmd/gsfbench import.
 package alloc
 
 import (

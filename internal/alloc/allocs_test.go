@@ -6,7 +6,12 @@ package alloc
 // departure heap reuses its backing array, so the simulator's per-VM
 // cost is pure CPU. testing.AllocsPerRun pins that at zero.
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"github.com/greensku/gsf/internal/trace"
+)
 
 func TestIndexedPickZeroAllocs(t *testing.T) {
 	class := ServerClass{Name: "steady", Cores: 32, Memory: 256, LocalMemory: 256}
@@ -75,5 +80,39 @@ func TestDepartureHeapOrdering(t *testing.T) {
 			t.Fatalf("heap popped %g after %g", d.at, prev)
 		}
 		prev = d.at
+	}
+}
+
+// TestSimStepZeroAllocs pins the single-green replay at zero heap
+// allocations per VM once its servers are materialized: the Decider's
+// directive goes into the simulator's own one-pool scale array, not a
+// fresh slice. Each VM departs before the one after next arrives, so
+// the same few servers host them all.
+func TestSimStepZeroAllocs(t *testing.T) {
+	sim, err := NewSim("steady", Config{Base: baseClass(), NBase: 4, Green: greenClass(), NGreen: 4}, func(vm trace.VM) Decision {
+		return Decision{Adopt: vm.ID%2 == 1, Scale: 1.2}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := 0
+	// pair steps one non-adopting and one adopting VM: AllocsPerRun
+	// rounds its average down, so a run must cover both kinds.
+	pair := func() {
+		for range 2 {
+			at := float64(id)
+			if err := sim.Step(trace.VM{ID: id, Arrive: at, Depart: at + 1.5, Cores: 4, Memory: 16, Gen: 3, MaxMemFrac: 0.5}); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+	}
+	pair()
+	pair()
+	if avg := testing.AllocsPerRun(100, pair); avg != 0 {
+		t.Errorf("Sim.Step allocates %.1f times per pair of VMs, want 0", avg)
+	}
+	if res := sim.Finish(float64(id)); res.Placed != id || math.IsNaN(res.Green.CorePacking) {
+		t.Fatalf("steady replay placed %d of %d VMs, green packing %v", res.Placed, id, res.Green.CorePacking)
 	}
 }

@@ -49,7 +49,7 @@ func TestAuditCleanOnSyntheticTrace(t *testing.T) {
 // TestAuditCatchesBrokenAllocator proves the audit layer detects a
 // deliberately broken allocator: with the feasibility check disabled,
 // pick oversubscribes servers and the core/memory conservation and
-// admissibility checks must fire.
+// admissibility checks must fire, in single- and multi-pool replays.
 func TestAuditCatchesBrokenAllocator(t *testing.T) {
 	testIgnoreCapacity = true
 	defer func() { testIgnoreCapacity = false }()
@@ -83,6 +83,29 @@ func TestAuditCatchesBrokenAllocator(t *testing.T) {
 		if !strings.HasPrefix(v.String(), "alloc/") {
 			t.Errorf("violation from unexpected component: %s", v)
 		}
+	}
+
+	// A multi-pool replay has no Config.Audit: it reports to the
+	// process default, swapped for a fresh Recorder so the breakage
+	// stays out of the package sweep.
+	prev := audit.Default()
+	multiRec := audit.NewRecorder()
+	audit.SetDefault(multiRec)
+	defer audit.SetDefault(prev)
+	both := func(trace.VM) MultiDecision { return MultiDecision{Scales: []float64{1, 1}} }
+	multi, err := SimulateMulti(over, MultiConfig{Base: Pool{Class: baseClass(), N: 1}, Greens: twoGreens()}, both)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if multi.Rejected != 0 {
+		t.Fatalf("broken multi-pool allocator rejected %d VMs; expected it to place everything", multi.Rejected)
+	}
+	counts = multiRec.Counts()
+	if counts["alloc/admissibility"] == 0 {
+		t.Errorf("no multi-pool admissibility violations recorded; counts = %v", counts)
+	}
+	if counts["alloc/core-conservation"] == 0 && counts["alloc/memory-conservation"] == 0 {
+		t.Errorf("no multi-pool conservation violations recorded; counts = %v", counts)
 	}
 }
 

@@ -25,15 +25,16 @@ package alloc
 //     [0, frontier), and a replay's memory footprint is
 //     O(servers touched), not O(servers configured).
 //
-// The single-pool simulator (Sim) is a push-style event consumer:
-// NewSim → Step per arrival → Finish at the horizon. SimulateSource
-// drives it from any trace.Source, so a binary trace streams through
-// without ever materializing; snapshot.go checkpoints a Sim between
-// Steps and restores it bit-identically. SimulateMulti (multi.go)
-// replays on one fleet per pool. Decision identity with the oracle's
-// linear scan over all n servers — same placements, same rejections,
-// same Result bits — is proven by the differential walls and
-// cross-checked at runtime on every audited placement.
+// The simulator (Sim) is the only replay loop, a push-style event
+// consumer: NewSim → Step per arrival → Finish at the horizon. It holds
+// one fleet per pool, the baseline first; NewSim builds one green
+// pool, and SimulateMulti (multi.go) any number. SimulateSource drives
+// it from any trace.Source, so a binary trace streams through without
+// ever materializing; snapshot.go checkpoints a single-green Sim
+// between Steps and restores it bit-identically. Decision identity
+// with the oracle's linear scan over all n servers — same placements,
+// same rejections, same Result bits — is proven by the differential
+// walls and cross-checked at runtime on every audited placement.
 
 import (
 	"context"
@@ -149,9 +150,9 @@ func (f *fleet) combine(t int32, virgin bool, pol Policy) int32 {
 	}
 }
 
-// firstEmptyFitting is the single-pool full-node rule: the lowest id
-// of an empty server fitting (cores, mem). Touched empties all precede
-// the first virgin.
+// firstEmptyFitting is the full-node rule: the lowest id of an empty
+// server fitting (cores, mem). Touched empties all precede the first
+// virgin.
 func (f *fleet) firstEmptyFitting(cores, mem float64) int32 {
 	if f.frontier > 0 {
 		if t := f.ix.firstEmptyFittingNode(cores, mem); t != nilNode {
@@ -159,19 +160,6 @@ func (f *fleet) firstEmptyFitting(cores, mem float64) int32 {
 		}
 	}
 	if f.frontier < f.n && f.capC >= cores && f.capM >= mem {
-		return f.frontier
-	}
-	return nilNode
-}
-
-// firstEmpty is the multi-pool full-node rule: the lowest id of an
-// empty server, with no capacity check. Touched empties all precede
-// the first virgin.
-func (f *fleet) firstEmpty() int32 {
-	if t := f.ix.segFirstEmpty(); t != nilNode {
-		return t
-	}
-	if f.frontier < f.n {
 		return f.frontier
 	}
 	return nilNode
@@ -280,8 +268,8 @@ func (f *fleet) observeInto(a *aggregator) {
 
 // departure is a pending departure. The server is named by pool and
 // id, not pointer, so the heap is flat data the snapshot codec can
-// carry verbatim. Sim's pools are 0 (base) and 1 (green);
-// SimulateMulti numbers the green pools from 1 in cluster order.
+// carry verbatim. pool indexes Sim.pools: 0 is the baseline, and the
+// green pools count from 1 in cluster order.
 type departure struct {
 	at         float64
 	cores, mem float64
@@ -347,13 +335,20 @@ func depSiftDown(h depHeap, i int) {
 type Sim struct {
 	cfg    Config
 	decide Decider
-	chk    audit.Checker
-	name   string
+	// multi, when set, directs a multi-pool replay and decide is
+	// unused; one holds decide's directive as the one green pool's
+	// scale, so the single-green path allocates nothing per VM.
+	multi MultiDecider
+	one   [1]float64
+	chk   audit.Checker
+	name  string
 
-	base, green fleet
-	deps        depHeap
-	baseAgg     aggregator
-	greenAgg    aggregator
+	// pools[0] is the baseline pool and pools[g] green pool g, in
+	// cluster order; a departure's pool number indexes it. aggs
+	// parallels pools. NewSim and Restore build two pools.
+	pools []fleet
+	aggs  []aggregator
+	deps  depHeap
 
 	res        Result
 	nextSnap   float64
@@ -368,33 +363,68 @@ type Sim struct {
 // NewSim validates the cluster configuration and returns an empty
 // simulator.
 func NewSim(name string, cfg Config, decide Decider) (*Sim, error) {
-	if cfg.NBase < 0 || cfg.NGreen < 0 || cfg.NBase+cfg.NGreen == 0 {
-		return nil, fmt.Errorf("alloc: cluster needs at least one server")
-	}
-	if cfg.NBase > 0 && (cfg.Base.Cores <= 0 || cfg.Base.Memory <= 0) {
-		return nil, fmt.Errorf("alloc: baseline class has no capacity")
-	}
-	if cfg.NGreen > 0 && (cfg.Green.Cores <= 0 || cfg.Green.Memory <= 0) {
-		return nil, fmt.Errorf("alloc: green class has no capacity")
+	pools := []Pool{{Class: cfg.Base, N: cfg.NBase}, {Class: cfg.Green, N: cfg.NGreen}}
+	if err := checkPools(pools); err != nil {
+		return nil, err
 	}
 	if decide == nil {
 		decide = AdoptNone
 	}
+	return newSim(name, cfg, pools, decide), nil
+}
+
+// checkPools validates a cluster's pools, pools[0] the baseline.
+func checkPools(pools []Pool) error {
+	total := 0
+	for i, p := range pools {
+		name := "baseline"
+		if i > 0 {
+			name = "green " + p.Class.Name
+		}
+		if p.N < 0 {
+			return fmt.Errorf("alloc: %s pool has negative size %d", name, p.N)
+		}
+		if p.N > 0 && (p.Class.Cores <= 0 || p.Class.Memory <= 0) {
+			return fmt.Errorf("alloc: %s pool has no capacity", name)
+		}
+		total += p.N
+	}
+	if total == 0 {
+		return fmt.Errorf("alloc: cluster needs at least one server")
+	}
+	return nil
+}
+
+// newSim returns an empty simulator over validated pools. cfg supplies
+// the policy, snapshot interval and audit checker.
+func newSim(name string, cfg Config, pools []Pool, decide Decider) *Sim {
 	snapEvery := cfg.SnapshotEvery
 	if snapEvery <= 0 {
 		snapEvery = 12
 	}
-	return &Sim{
+	s := &Sim{
 		cfg:        cfg,
 		decide:     decide,
 		chk:        audit.Resolve(cfg.Audit),
 		name:       name,
-		base:       newFleet(cfg.Base, cfg.NBase),
-		green:      newFleet(cfg.Green, cfg.NGreen),
+		pools:      make([]fleet, len(pools)),
+		aggs:       make([]aggregator, len(pools)),
 		nextSnap:   snapEvery,
 		snapEvery:  snapEvery,
 		lastArrive: math.Inf(-1),
-	}, nil
+	}
+	for i, p := range pools {
+		s.pools[i] = newFleet(p.Class, p.N)
+	}
+	return s
+}
+
+// poolName labels pool i in audit messages.
+func poolName(i int) string {
+	if i == 0 {
+		return "base"
+	}
+	return fmt.Sprintf("green %d", i)
 }
 
 // Events reports how many arrivals the simulator has consumed.
@@ -403,10 +433,7 @@ func (s *Sim) Events() int { return s.events }
 func (s *Sim) release(until float64) {
 	for len(s.deps) > 0 && s.deps[0].at <= until {
 		d := depPop(&s.deps)
-		f := &s.base
-		if d.pool != 0 {
-			f = &s.green
-		}
+		f := &s.pools[d.pool]
 		f.release(d.id, d.cores, d.mem, d.touched)
 		if s.chk != nil {
 			auditBounds(s.chk, f, d.id, "release")
@@ -415,8 +442,9 @@ func (s *Sim) release(until float64) {
 }
 
 func (s *Sim) observe() {
-	s.base.observeInto(&s.baseAgg)
-	s.green.observeInto(&s.greenAgg)
+	for i := range s.pools {
+		s.pools[i].observeInto(&s.aggs[i])
+	}
 	s.res.Snapshots++
 }
 
@@ -447,43 +475,63 @@ func (s *Sim) advance(vm trace.VM) error {
 	return nil
 }
 
-// admit is the rest of Step: it places or rejects a VM that advance
-// has brought the simulator up to. Until the placement itself it only
-// reads the simulator's state, so a probe can clone the simulator at
-// an opening (recordOpening) and re-admit the same VM into the clone.
-func (s *Sim) admit(vm trace.VM) {
-	d := s.decide(vm)
-	if d.Scale < 1 {
-		d.Scale = 1
+// scales returns the VM's directive over the green pools: entry g-1
+// governs green pool g (see scaleFor). A Decider is the one-green-pool
+// case.
+func (s *Sim) scales(vm trace.VM) []float64 {
+	if s.multi != nil {
+		return s.multi(vm).Scales
 	}
-	placed := nilNode
+	s.one[0] = 0
+	if d := s.decide(vm); d.Adopt {
+		s.one[0] = max(d.Scale, 1)
+	}
+	return s.one[:]
+}
+
+// scaleFor returns the factor a directive scales a VM's request by on
+// green pool g (at least 1), or 0 if it does not offer the VM that
+// pool.
+func scaleFor(scales []float64, g int) float64 {
+	if g > len(scales) || scales[g-1] <= 0 {
+		return 0
+	}
+	return max(scales[g-1], 1)
+}
+
+// admit is the rest of Step: it places or rejects a VM that advance
+// has brought the simulator up to. Full-node VMs take the first empty
+// baseline server that fits a whole node; other VMs try each green
+// pool their directive offers, in order and scaled, then the baseline
+// unscaled. Until the placement itself admit only reads the
+// simulator's state, so a probe can clone the simulator at an opening
+// (recordOpening) and re-admit the same VM into the clone.
+func (s *Sim) admit(vm trace.VM) {
+	scales := s.scales(vm)
+	pool, placed := 0, nilNode
 	var cores, mem float64
-	placedGreen := false
 	if vm.FullNode {
-		full, fullMem := s.base.capC, s.base.capM
-		placed = s.base.firstEmptyFitting(full, fullMem)
+		base := &s.pools[0]
+		cores, mem = base.capC, base.capM
+		placed = base.firstEmptyFitting(cores, mem)
 		if s.chk != nil {
-			s.auditFullNodePick(placed, full, fullMem)
-		}
-		if placed != nilNode {
-			cores, mem = full, fullMem
+			s.auditFullNodePick(placed)
 		}
 	} else {
-		if d.Adopt && s.cfg.NGreen > 0 {
-			cores = float64(vm.Cores) * d.Scale
-			mem = float64(vm.Memory) * d.Scale
-			placed = s.pickFrom(&s.green, "green", cores, mem)
-			placedGreen = placed != nilNode
+		for g := 1; g < len(s.pools) && placed == nilNode; g++ {
+			if scale := scaleFor(scales, g); scale != 0 {
+				cores, mem = float64(vm.Cores)*scale, float64(vm.Memory)*scale
+				placed, pool = s.pickFrom(g, cores, mem), g
+			}
 		}
 		if placed == nilNode {
-			cores = float64(vm.Cores)
-			mem = float64(vm.Memory)
-			placed = s.pickFrom(&s.base, "base", cores, mem)
+			cores, mem = float64(vm.Cores), float64(vm.Memory)
+			placed, pool = s.pickFrom(0, cores, mem), 0
 		}
 	}
 	if placed == nilNode {
 		if s.chk != nil {
-			s.auditRejection(vm, d)
+			s.auditRejection(vm, scales)
 		}
 		s.res.Rejected++
 		if vm.Deferrable {
@@ -493,10 +541,7 @@ func (s *Sim) admit(vm trace.VM) {
 		s.events++
 		return
 	}
-	f := &s.base
-	if placedGreen {
-		f = &s.green
-	}
+	f := &s.pools[pool]
 	if s.chk != nil {
 		if fc, fm, _ := f.state(placed); !(fc >= cores && fm >= mem) {
 			audit.Failf(s.chk, "alloc", "admissibility",
@@ -509,7 +554,7 @@ func (s *Sim) admit(vm trace.VM) {
 		}
 	}
 	if s.rec != nil && placed == f.frontier {
-		s.recordOpening(vm, placedGreen, cores, mem)
+		s.recordOpening(vm, pool, cores, mem)
 	}
 	touched := mem * vm.MaxMemFrac
 	f.place(placed, cores, mem, touched)
@@ -517,13 +562,9 @@ func (s *Sim) admit(vm trace.VM) {
 		auditBounds(s.chk, f, placed, "place")
 	}
 	if testObserve != nil {
-		testObserve(vm.ID, placedGreen, placed)
+		testObserve(vm.ID, pool != 0, placed)
 	}
-	pool := int32(0)
-	if placedGreen {
-		pool = 1
-	}
-	depPush(&s.deps, departure{at: vm.Depart, cores: cores, mem: mem, touched: touched, id: placed, pool: pool})
+	depPush(&s.deps, departure{at: vm.Depart, cores: cores, mem: mem, touched: touched, id: placed, pool: int32(pool)})
 	s.res.Placed++
 	if vm.Deferrable {
 		s.res.DeferrablePlaced++
@@ -532,10 +573,11 @@ func (s *Sim) admit(vm trace.VM) {
 	s.events++
 }
 
-// pickFrom picks through the index; with auditing on, the decision is
-// re-derived by the columnar linear scan and any disagreement
-// reported.
-func (s *Sim) pickFrom(f *fleet, pool string, cores, mem float64) int32 {
+// pickFrom picks from pool through the index; with auditing on, the
+// decision is re-derived by the columnar linear scan and any
+// disagreement reported.
+func (s *Sim) pickFrom(pool int, cores, mem float64) int32 {
+	f := &s.pools[pool]
 	if testIgnoreCapacity {
 		return f.scanPick(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty)
 	}
@@ -544,23 +586,24 @@ func (s *Sim) pickFrom(f *fleet, pool string, cores, mem float64) int32 {
 		if ref := f.scanPick(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty); ref != id {
 			audit.Failf(s.chk, "alloc", "index-divergence",
 				"%s pick(%gc/%gGB, %v, preferNonEmpty=%v): index chose server %d, scan chose %d",
-				pool, cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty, id, ref)
+				poolName(pool), cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty, id, ref)
 		}
 	}
 	return id
 }
 
 // auditFullNodePick cross-checks the full-node selection against a
-// scan for the lowest empty fitting server.
-func (s *Sim) auditFullNodePick(got int32, full, fullMem float64) {
+// scan for the lowest empty baseline server that fits a whole node.
+func (s *Sim) auditFullNodePick(got int32) {
+	base := &s.pools[0]
 	want := nilNode
-	limit := s.base.frontier
-	if s.base.frontier < s.base.n {
+	limit := base.frontier
+	if base.frontier < base.n {
 		limit++
 	}
 	for id := int32(0); id < limit; id++ {
-		c, m, ne := s.base.state(id)
-		if !ne && c >= full && m >= fullMem {
+		c, m, ne := base.state(id)
+		if !ne && c >= base.capC && m >= base.capM {
 			want = id
 			break
 		}
@@ -573,24 +616,28 @@ func (s *Sim) auditFullNodePick(got int32, full, fullMem float64) {
 
 // auditRejection verifies a rejection was genuine under the columnar
 // layout: no feasible server exists in any pool the VM was offered to.
-func (s *Sim) auditRejection(vm trace.VM, d Decision) {
+func (s *Sim) auditRejection(vm trace.VM, scales []float64) {
+	base := &s.pools[0]
 	if vm.FullNode {
-		if s.base.firstEmptyFitting(s.base.capC, s.base.capM) != nilNode {
+		if base.firstEmptyFitting(base.capC, base.capM) != nilNode {
 			audit.Failf(s.chk, "alloc", "spurious-rejection",
 				"full-node VM %d rejected with an empty baseline server available", vm.ID)
 		}
 		return
 	}
-	if s.base.scanPick(float64(vm.Cores), float64(vm.Memory), s.cfg.Policy, s.cfg.PreferNonEmpty) != nilNode {
+	if base.scanPick(float64(vm.Cores), float64(vm.Memory), s.cfg.Policy, s.cfg.PreferNonEmpty) != nilNode {
 		audit.Failf(s.chk, "alloc", "spurious-rejection",
 			"VM %d (%dc/%gGB) rejected with feasible baseline server", vm.ID, vm.Cores, float64(vm.Memory))
 	}
-	if d.Adopt && s.cfg.NGreen > 0 {
-		scaledCores := float64(vm.Cores) * d.Scale
-		scaledMem := float64(vm.Memory) * d.Scale
-		if s.green.scanPick(scaledCores, scaledMem, s.cfg.Policy, s.cfg.PreferNonEmpty) != nilNode {
+	for g := 1; g < len(s.pools); g++ {
+		scale := scaleFor(scales, g)
+		if scale == 0 {
+			continue
+		}
+		cores, mem := float64(vm.Cores)*scale, float64(vm.Memory)*scale
+		if s.pools[g].scanPick(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty) != nilNode {
 			audit.Failf(s.chk, "alloc", "spurious-rejection",
-				"adopting VM %d (%gc/%gGB scaled) rejected with feasible green server", vm.ID, scaledCores, scaledMem)
+				"adopting VM %d (%gc/%gGB scaled) rejected with feasible server in %s pool", vm.ID, cores, mem, poolName(g))
 		}
 	}
 }
@@ -643,6 +690,15 @@ func auditConservation(chk audit.Checker, f *fleet) {
 // Finish runs the tail snapshots through the horizon, takes the final
 // observation, drains the audit checks, and returns the Result.
 func (s *Sim) Finish(horizon float64) Result {
+	s.finish(horizon)
+	res := s.res
+	res.Base = s.aggs[0].stats()
+	res.Green = s.aggs[1].stats()
+	return res
+}
+
+// finish is Finish without the two-pool Result, for any pool count.
+func (s *Sim) finish(horizon float64) {
 	for s.nextSnap <= horizon {
 		s.release(s.nextSnap)
 		s.observe()
@@ -653,27 +709,31 @@ func (s *Sim) Finish(horizon float64) Result {
 
 	if s.chk != nil {
 		s.release(math.Inf(1))
-		auditConservation(s.chk, &s.base)
-		auditConservation(s.chk, &s.green)
-		s.base.ix.auditIntegrityCore(s.chk, "base", s.base.frontier, s.base.state)
-		s.green.ix.auditIntegrityCore(s.chk, "green", s.green.frontier, s.green.state)
+		for i := range s.pools {
+			f := &s.pools[i]
+			auditConservation(s.chk, f)
+			f.ix.auditIntegrityCore(s.chk, poolName(i), f.frontier, f.state)
+		}
 	}
-
-	res := s.res
-	res.Base = s.baseAgg.stats()
-	res.Green = s.greenAgg.stats()
-	return res
 }
 
 // SimulateSource replays a streaming event source through the columnar
 // simulator — the path SimulateContext takes, and the only way to
-// consume a binary trace without materializing it. Cancellation is
-// polled every 1024 events.
+// consume a binary trace without materializing it.
 func SimulateSource(ctx context.Context, src trace.Source, cfg Config, decide Decider) (Result, error) {
 	sim, err := NewSim(src.Name(), cfg, decide)
 	if err != nil {
 		return Result{}, err
 	}
+	if err := sim.stepAll(ctx, src); err != nil {
+		return Result{}, err
+	}
+	return sim.Finish(src.Horizon()), nil
+}
+
+// stepAll steps every event of src through the simulator, polling ctx
+// every 1024 events.
+func (s *Sim) stepAll(ctx context.Context, src trace.Source) error {
 	for i := 0; ; i++ {
 		vm, ok := src.Next()
 		if !ok {
@@ -681,15 +741,12 @@ func SimulateSource(ctx context.Context, src trace.Source, cfg Config, decide De
 		}
 		if i&1023 == 0 {
 			if err := ctx.Err(); err != nil {
-				return Result{}, err
+				return err
 			}
 		}
-		if err := sim.Step(vm); err != nil {
-			return Result{}, err
+		if err := s.Step(vm); err != nil {
+			return err
 		}
 	}
-	if err := src.Err(); err != nil {
-		return Result{}, err
-	}
-	return sim.Finish(src.Horizon()), nil
+	return src.Err()
 }

@@ -59,12 +59,10 @@ type treapNode struct {
 }
 
 // segNode aggregates a range of server indices: per-occupancy-class
-// maxima of free capacity (negInf when the class is absent) and the
-// count of empty servers.
+// maxima of free capacity (negInf when the class is absent).
 type segNode struct {
 	coresNE, memNE float64
 	coresE, memE   float64
-	cntE           int32
 }
 
 // emptySeg is the identity element of the segment-tree combine.
@@ -278,7 +276,7 @@ func (ix *ixCore) segSet(id int32, cores, mem float64, ne bool) {
 	if ne {
 		*sn = segNode{coresNE: cores, memNE: mem, coresE: negInf, memE: negInf}
 	} else {
-		*sn = segNode{coresNE: negInf, memNE: negInf, coresE: cores, memE: mem, cntE: 1}
+		*sn = segNode{coresNE: negInf, memNE: negInf, coresE: cores, memE: mem}
 	}
 	for i >>= 1; i >= 1; i >>= 1 {
 		ix.seg[i] = combineSeg(&ix.seg[2*i], &ix.seg[2*i+1])
@@ -291,7 +289,6 @@ func combineSeg(l, r *segNode) segNode {
 		memNE:   fmax(l.memNE, r.memNE),
 		coresE:  fmax(l.coresE, r.coresE),
 		memE:    fmax(l.memE, r.memE),
-		cntE:    l.cntE + r.cntE,
 	}
 }
 
@@ -406,23 +403,6 @@ func (ix *ixCore) segFirst(i int32, c, m float64, wantNE, wantE bool) int32 {
 		return r
 	}
 	return ix.segFirst(2*i+1, c, m, wantNE, wantE)
-}
-
-// segFirstEmpty returns the lowest index of an empty server with no
-// capacity condition (the multi-pool full-node rule), or nilNode.
-func (ix *ixCore) segFirstEmpty() int32 {
-	if ix.segSize == 0 || ix.seg[1].cntE == 0 {
-		return nilNode
-	}
-	i := int32(1)
-	for i < ix.segSize {
-		if ix.seg[2*i].cntE > 0 {
-			i = 2 * i
-		} else {
-			i = 2*i + 1
-		}
-	}
-	return i - ix.segSize
 }
 
 // pickClass selects the policy-preferred feasible server within one
@@ -610,7 +590,7 @@ func (ix *ixCore) auditIntegrityCore(chk audit.Checker, pool string, n int32, st
 			if sne {
 				want.coresNE, want.memNE = sc, sm
 			} else {
-				want.coresE, want.memE, want.cntE = sc, sm, 1
+				want.coresE, want.memE = sc, sm
 			}
 		}
 		if sn != want {

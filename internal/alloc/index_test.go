@@ -83,9 +83,9 @@ func checkOracle(t *testing.T, f *fleet) {
 	}
 }
 
-// comparePicks checks every query the simulators issue — all
-// policies, both PreferNonEmpty settings, and the two full-node
-// variants — against a linear scan, for one request.
+// comparePicks checks every query the simulator issues — all
+// policies, both PreferNonEmpty settings, and the full-node rule —
+// against a linear scan, for one request.
 func comparePicks(t *testing.T, f *fleet, c, m float64) {
 	t.Helper()
 	for _, pol := range []Policy{BestFit, FirstFit, WorstFit} {
@@ -98,24 +98,15 @@ func comparePicks(t *testing.T, f *fleet, c, m float64) {
 			}
 		}
 	}
-	wantFit, wantAny := nilNode, nilNode
+	wantFit := nilNode
 	for id := int32(0); id < f.n; id++ {
-		sc, sm, ne := f.state(id)
-		if ne {
-			continue
-		}
-		if wantAny == nilNode {
-			wantAny = id
-		}
-		if wantFit == nilNode && sc >= c && sm >= m {
+		if sc, sm, ne := f.state(id); !ne && sc >= c && sm >= m {
 			wantFit = id
+			break
 		}
 	}
 	if got := f.firstEmptyFitting(c, m); got != wantFit {
 		t.Fatalf("firstEmptyFitting(%g, %g): index chose %d, scan chose %d", c, m, got, wantFit)
-	}
-	if got := f.firstEmpty(); got != wantAny {
-		t.Fatalf("firstEmpty: index chose %d, scan chose %d", got, wantAny)
 	}
 }
 
@@ -174,7 +165,7 @@ func TestAuditCatchesCorruptedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &sim.base
+	f := &sim.pools[0]
 	f.place(0, 4, 40, 0)
 
 	// Bypass the index: server 0 now has 1 core free, but the index
@@ -187,7 +178,7 @@ func TestAuditCatchesCorruptedIndex(t *testing.T) {
 		t.Fatalf("stale index key not caught: %v", integrity.Counts())
 	}
 
-	got := sim.pickFrom(f, "base", 6, 10)
+	got := sim.pickFrom(0, 6, 10)
 	if rec.Counts()["alloc/index-divergence"] == 0 {
 		t.Fatalf("index/scan divergence not caught (picked %d): %v", got, rec.Counts())
 	}

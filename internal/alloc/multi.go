@@ -4,11 +4,13 @@ package alloc
 // additional SKU type in a fleet has side effects, but a second
 // GreenSKU could serve applications the first cannot. SimulateMulti
 // generalises Simulate to a baseline pool plus any number of GreenSKU
-// pools, with per-VM, per-pool directives.
+// pools, with per-VM, per-pool directives. It is a front door to the
+// same Sim every other replay steps (colsim.go), built over all the
+// pools: the same placement rules, the same full-node rule, the same
+// audit checks.
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/greensku/gsf/internal/trace"
 )
@@ -59,130 +61,32 @@ func SimulateMulti(tr trace.Trace, mc MultiConfig, decide MultiDecider) (MultiRe
 }
 
 // SimulateMultiContext is SimulateMulti with cancellation, polled every
-// 1024 VMs like SimulateContext. Each pool is a columnar fleet
-// (colsim.go), so only the servers a replay touches are materialized.
+// 1024 VMs like SimulateContext. The replay is audited through the
+// process-default checker (audit.SetDefault).
 func SimulateMultiContext(ctx context.Context, tr trace.Trace, mc MultiConfig, decide MultiDecider) (MultiResult, error) {
-	if err := tr.Validate(); err != nil {
+	pools := append([]Pool{mc.Base}, mc.Greens...)
+	if err := checkPools(pools); err != nil {
 		return MultiResult{}, err
 	}
-	base, greens := mc.Base, mc.Greens
-	if base.N < 0 {
-		return MultiResult{}, fmt.Errorf("alloc: baseline pool has negative size %d", base.N)
+	cfg := Config{Base: mc.Base.Class, NBase: mc.Base.N, Policy: mc.Policy,
+		PreferNonEmpty: mc.PreferNonEmpty, SnapshotEvery: mc.SnapshotEvery}
+	// A nil decide leaves the AdoptNone Decider in charge, which
+	// offers no green pool.
+	sim := newSim(tr.Name, cfg, pools, AdoptNone)
+	sim.multi = decide
+	if err := sim.stepAll(ctx, trace.NewSliceSource(tr)); err != nil {
+		return MultiResult{}, err
 	}
-	total := base.N
-	for _, g := range greens {
-		if g.N < 0 {
-			return MultiResult{}, fmt.Errorf("alloc: green pool %s has negative size %d", g.Class.Name, g.N)
-		}
-		total += g.N
-		if g.N > 0 && (g.Class.Cores <= 0 || g.Class.Memory <= 0) {
-			return MultiResult{}, fmt.Errorf("alloc: green pool %s has no capacity", g.Class.Name)
-		}
+	sim.finish(tr.Horizon)
+	res := MultiResult{
+		Placed:    sim.res.Placed,
+		Rejected:  sim.res.Rejected,
+		Base:      sim.aggs[0].stats(),
+		Green:     make([]ClassStats, len(mc.Greens)),
+		Snapshots: sim.res.Snapshots,
 	}
-	if total == 0 {
-		return MultiResult{}, fmt.Errorf("alloc: cluster needs at least one server")
-	}
-	if base.N > 0 && (base.Class.Cores <= 0 || base.Class.Memory <= 0) {
-		return MultiResult{}, fmt.Errorf("alloc: baseline pool has no capacity")
-	}
-	if decide == nil {
-		decide = func(trace.VM) MultiDecision { return MultiDecision{} }
-	}
-	snapEvery := mc.SnapshotEvery
-	if snapEvery <= 0 {
-		snapEvery = 12
-	}
-
-	// pools[0] is the baseline; pools[i+1] is green pool i, which is
-	// also the pool number its departures carry.
-	pools := make([]fleet, len(greens)+1)
-	pools[0] = newFleet(base.Class, base.N)
-	for i, g := range greens {
-		pools[i+1] = newFleet(g.Class, g.N)
-	}
-	aggs := make([]aggregator, len(pools))
-
-	var deps depHeap
-	var res MultiResult
-	nextSnap := snapEvery
-
-	release := func(until float64) {
-		for len(deps) > 0 && deps[0].at <= until {
-			d := depPop(&deps)
-			pools[d.pool].release(d.id, d.cores, d.mem, d.touched)
-		}
-	}
-	observe := func() {
-		for i := range pools {
-			pools[i].observeInto(&aggs[i])
-		}
-		res.Snapshots++
-	}
-
-	for i, vm := range tr.VMs {
-		if i&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return MultiResult{}, err
-			}
-		}
-		for nextSnap <= vm.Arrive {
-			release(nextSnap)
-			observe()
-			nextSnap += snapEvery
-		}
-		release(vm.Arrive)
-
-		pool, placed := int32(0), nilNode
-		var cores, mem float64
-		if vm.FullNode {
-			// The multi-pool full-node rule takes the first empty
-			// baseline server unconditionally (no capacity check).
-			placed = pools[0].firstEmpty()
-			cores, mem = pools[0].capC, pools[0].capM
-		} else {
-			d := decide(vm)
-			for g := range greens {
-				if g >= len(d.Scales) || d.Scales[g] <= 0 {
-					continue
-				}
-				scale := d.Scales[g]
-				if scale < 1 {
-					scale = 1
-				}
-				cores = float64(vm.Cores) * scale
-				mem = float64(vm.Memory) * scale
-				if placed = pools[g+1].pick(cores, mem, mc.Policy, mc.PreferNonEmpty); placed != nilNode {
-					pool = int32(g + 1)
-					break
-				}
-			}
-			if placed == nilNode {
-				cores = float64(vm.Cores)
-				mem = float64(vm.Memory)
-				placed = pools[0].pick(cores, mem, mc.Policy, mc.PreferNonEmpty)
-			}
-		}
-		if placed == nilNode {
-			res.Rejected++
-			continue
-		}
-		touched := mem * vm.MaxMemFrac
-		pools[pool].place(placed, cores, mem, touched)
-		depPush(&deps, departure{at: vm.Depart, cores: cores, mem: mem, touched: touched, id: placed, pool: pool})
-		res.Placed++
-	}
-	for nextSnap <= tr.Horizon {
-		release(nextSnap)
-		observe()
-		nextSnap += snapEvery
-	}
-	release(tr.Horizon)
-	observe()
-
-	res.Base = aggs[0].stats()
-	res.Green = make([]ClassStats, len(greens))
-	for i := range greens {
-		res.Green[i] = aggs[i+1].stats()
+	for i := range res.Green {
+		res.Green[i] = sim.aggs[i+1].stats()
 	}
 	return res, nil
 }

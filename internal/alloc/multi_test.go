@@ -79,38 +79,49 @@ func TestMultiFullNodePinsToBaseline(t *testing.T) {
 }
 
 func TestMultiMatchesSingleWhenOnePool(t *testing.T) {
-	// With one green pool and equivalent directives, SimulateMulti
-	// must agree with Simulate.
-	p := trace.DefaultParams("multi-vs-single", 77)
-	p.HorizonHours = 72
-	tr, err := trace.Generate(p)
+	// With one green pool and the equivalent directive, SimulateMulti
+	// must agree with Simulate bit for bit on every production trace
+	// and policy. The decider adopts two VMs in three, and the traces'
+	// full-node VMs meet drained baseline servers whose free memory
+	// carries float drift, which the full-node rule must skip.
+	traces, err := trace.ProductionSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Base: baseClass(), NBase: 30,
-		Green: greenClass(), NGreen: 15,
-		Policy: BestFit, PreferNonEmpty: true,
+	adopt := func(vm trace.VM) bool { return vm.ID%3 != 0 }
+	single := func(vm trace.VM) Decision { return Decision{Adopt: adopt(vm), Scale: 1.2} }
+	multi := func(vm trace.VM) MultiDecision {
+		if adopt(vm) {
+			return MultiDecision{Scales: []float64{1.2}}
+		}
+		return MultiDecision{}
 	}
-	single, err := Simulate(tr, cfg, AdoptAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := SimulateMulti(tr, MultiConfig{
-		Base:           Pool{Class: baseClass(), N: 30},
-		Greens:         []Pool{{Class: greenClass(), N: 15}},
-		Policy:         BestFit,
-		PreferNonEmpty: true,
-	}, func(trace.VM) MultiDecision { return MultiDecision{Scales: []float64{1}} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.Placed != multi.Placed || single.Rejected != multi.Rejected {
-		t.Fatalf("placement diverged: single %d/%d vs multi %d/%d",
-			single.Placed, single.Rejected, multi.Placed, multi.Rejected)
-	}
-	if math.Abs(single.Green.CorePacking-multi.Green[0].CorePacking) > 1e-9 {
-		t.Fatalf("green packing diverged: %v vs %v", single.Green.CorePacking, multi.Green[0].CorePacking)
+	for _, pol := range []Policy{BestFit, FirstFit, WorstFit} {
+		for _, tr := range traces {
+			cfg := Config{
+				Base: baseClass(), NBase: 30,
+				Green: greenClass(), NGreen: 16,
+				Policy: pol, PreferNonEmpty: pol != FirstFit,
+			}
+			want, err := Simulate(tr, cfg, single)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := SimulateMulti(tr, MultiConfig{
+				Base:           Pool{Class: cfg.Base, N: cfg.NBase},
+				Greens:         []Pool{{Class: cfg.Green, N: cfg.NGreen}},
+				Policy:         pol,
+				PreferNonEmpty: cfg.PreferNonEmpty,
+			}, multi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Placed != want.Placed || got.Rejected != want.Rejected || got.Snapshots != want.Snapshots ||
+				!sameClassStats(got.Base, want.Base) || len(got.Green) != 1 || !sameClassStats(got.Green[0], want.Green) {
+				t.Errorf("%s (%v): multi %d/%d %+v %+v, single %d/%d %+v %+v", tr.Name, pol,
+					got.Placed, got.Rejected, got.Base, got.Green, want.Placed, want.Rejected, want.Base, want.Green)
+			}
+		}
 	}
 }
 

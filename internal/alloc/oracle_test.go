@@ -169,11 +169,11 @@ func TestDifferentialLayouts35Traces(t *testing.T) {
 	}
 }
 
-// TestDifferentialMultiPool covers the multi-pool simulator the same
-// way: its full-node rule (first empty server regardless of capacity)
-// and per-pool scaled directives go through different fleet queries
-// than the single-green path. The three-green cluster mixes green and
-// baseline classes so pools fill and fall through to each other.
+// TestDifferentialMultiPool covers multi-pool replays the same way:
+// per-pool scaled directives offer a VM to several green pools in
+// turn, which the single-green walls never exercise. The three-green
+// cluster mixes green and baseline classes so pools fill and fall
+// through to each other.
 func TestDifferentialMultiPool(t *testing.T) {
 	traces, err := trace.ProductionSuite()
 	if err != nil {

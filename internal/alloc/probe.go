@@ -278,12 +278,11 @@ func (s *Sim) probeFrom(ctx context.Context, tr trace.Trace, i int) (bool, error
 
 // resume runs a probe from the checkpoint s, left untouched, on a
 // clone with the pools capped at nBase and nGreen servers. Both the
-// configuration and the fleets take the caps: admit offers the green
-// pool only when cfg.NGreen > 0.
+// configuration and the fleets take the caps.
 func (s *Sim) resume(ctx context.Context, tr trace.Trace, nBase, nGreen int) (bool, error) {
 	c := s.clone()
 	c.cfg.NBase, c.cfg.NGreen = nBase, nGreen
-	c.base.n, c.green.n = int32(nBase), int32(nGreen)
+	c.pools[0].n, c.pools[1].n = int32(nBase), int32(nGreen)
 	if testResume != nil {
 		testResume(c)
 	}
@@ -303,7 +302,11 @@ var testResume func(*Sim)
 // mutable state with s, and it does not record openings.
 func (s *Sim) clone() *Sim {
 	c := *s
-	c.base, c.green = s.base.clone(), s.green.clone()
+	c.pools = make([]fleet, len(s.pools))
+	for i := range s.pools {
+		c.pools[i] = s.pools[i].clone()
+	}
+	c.aggs = slices.Clone(s.aggs)
 	c.deps = slices.Clone(s.deps)
 	c.rec = nil
 	return &c
@@ -331,12 +334,13 @@ func (f *fleet) touchedWinner(cores, mem float64, pol Policy, preferNonEmpty boo
 
 // recordOpening appends the forced entry for a placement about to open
 // the frontier server of the base or green pool.
-func (s *Sim) recordOpening(vm trace.VM, green bool, cores, mem float64) {
+func (s *Sim) recordOpening(vm trace.VM, pool int, cores, mem float64) {
 	pol, pne := s.cfg.Policy, s.cfg.PreferNonEmpty
-	if !green {
+	base, green := &s.pools[0], &s.pools[1]
+	if pool == 0 {
 		// A full-node VM opens a server only when no touched one is
 		// empty, so its openings are always forced.
-		forced := vm.FullNode || s.base.touchedWinner(cores, mem, pol, pne) == nilNode
+		forced := vm.FullNode || base.touchedWinner(cores, mem, pol, pne) == nilNode
 		s.rec.BaseOpened = append(s.rec.BaseOpened, forced)
 		s.rec.baseAt = append(s.rec.baseAt, int32(s.events))
 		if !forced {
@@ -345,14 +349,14 @@ func (s *Sim) recordOpening(vm trace.VM, green bool, cores, mem float64) {
 		return
 	}
 	upTo := int32(-1)
-	if s.green.touchedWinner(cores, mem, pol, pne) == nilNode {
+	if green.touchedWinner(cores, mem, pol, pne) == nilNode {
 		bc, bm := float64(vm.Cores), float64(vm.Memory)
-		if s.base.touchedWinner(bc, bm, pol, pne) == nilNode {
+		if base.touchedWinner(bc, bm, pol, pne) == nilNode {
 			// The baseline pool refuses the fallback unless it still
 			// has a virgin that fits: at sizes up to its frontier.
 			upTo = math.MaxInt32
-			if s.base.capC >= bc && s.base.capM >= bm {
-				upTo = s.base.frontier
+			if base.capC >= bc && base.capM >= bm {
+				upTo = base.frontier
 			}
 		}
 	}

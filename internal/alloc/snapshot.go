@@ -104,7 +104,8 @@ func (w *snapWriter) agg(a *aggregator) {
 
 // Snapshot writes a GSFS checkpoint of the simulator's current state.
 // Call it only between Steps (or before Finish); a finished simulator
-// has drained its audit state and is not resumable.
+// has drained its audit state and is not resumable. The codec carries
+// the two pools NewSim and Restore build.
 func (s *Sim) Snapshot(w io.Writer) error {
 	var p snapWriter
 	p.str(s.name)
@@ -125,10 +126,10 @@ func (s *Sim) Snapshot(w io.Writer) error {
 	p.uvarint(uint64(s.res.DeferrableRejected))
 	p.uvarint(uint64(s.res.Snapshots))
 
-	p.fleet(&s.base)
-	p.fleet(&s.green)
-	p.agg(&s.baseAgg)
-	p.agg(&s.greenAgg)
+	p.fleet(&s.pools[0])
+	p.fleet(&s.pools[1])
+	p.agg(&s.aggs[0])
+	p.agg(&s.aggs[1])
 
 	p.uvarint(uint64(len(s.deps)))
 	for i := range s.deps {
@@ -437,19 +438,17 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 		*c = int(v)
 	}
 
-	s.base = newFleet(s.cfg.Base, s.cfg.NBase)
-	s.green = newFleet(s.cfg.Green, s.cfg.NGreen)
-	if err := r.fleet(&s.base); err != nil {
-		return nil, err
+	s.pools = []fleet{newFleet(s.cfg.Base, s.cfg.NBase), newFleet(s.cfg.Green, s.cfg.NGreen)}
+	s.aggs = make([]aggregator, 2)
+	for i := range s.pools {
+		if err := r.fleet(&s.pools[i]); err != nil {
+			return nil, err
+		}
 	}
-	if err := r.fleet(&s.green); err != nil {
-		return nil, err
-	}
-	if err := r.agg(&s.baseAgg); err != nil {
-		return nil, err
-	}
-	if err := r.agg(&s.greenAgg); err != nil {
-		return nil, err
+	for i := range s.aggs {
+		if err := r.agg(&s.aggs[i]); err != nil {
+			return nil, err
+		}
 	}
 
 	nDeps, err := r.uvarint("departure count")
@@ -482,10 +481,10 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 		if err != nil {
 			return nil, err
 		}
-		f := &s.base
 		if green {
-			d.pool, f = 1, &s.green
+			d.pool = 1
 		}
+		f := &s.pools[d.pool]
 		if id >= uint64(f.frontier) {
 			return nil, r.fail("departure names an untouched server")
 		}

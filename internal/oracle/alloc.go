@@ -297,9 +297,9 @@ func Simulate(tr trace.Trace, cfg alloc.Config, decide alloc.Decider, observe Ob
 }
 
 // SimulateMulti is the reference for alloc.SimulateMulti: full-node
-// VMs take the first empty baseline server with no capacity check;
-// other VMs try the green pools in order, scaled per the directive,
-// then the baseline pool unscaled.
+// VMs take the first empty baseline server that fits a whole node, as
+// in Simulate; other VMs try the green pools in order, scaled per the
+// directive, then the baseline pool unscaled.
 func SimulateMulti(tr trace.Trace, mc alloc.MultiConfig, decide alloc.MultiDecider) (alloc.MultiResult, error) {
 	if err := tr.Validate(); err != nil {
 		return alloc.MultiResult{}, err
@@ -328,7 +328,7 @@ func SimulateMulti(tr trace.Trace, mc alloc.MultiConfig, decide alloc.MultiDecid
 		var cores, mem float64
 		if vm.FullNode {
 			for _, s := range pools[0] {
-				if s.vms == 0 {
+				if s.vms == 0 && s.fits(float64(s.class.Cores), float64(s.class.Memory)) {
 					srv = s
 					cores, mem = float64(s.class.Cores), float64(s.class.Memory)
 					break

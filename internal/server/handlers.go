@@ -80,7 +80,9 @@ func decodeStrict(data []byte, dst any) error {
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("%w: malformed request body: %v", errBadRequest, err)
 	}
-	if dec.More() {
+	// More reports false before a stray closing delimiter, so look for
+	// the end of input instead.
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("%w: malformed request body: trailing data", errBadRequest)
 	}
 	return nil
@@ -158,6 +160,41 @@ func fmtCI(ci units.CarbonIntensity) string {
 	return strconv.FormatFloat(float64(ci), 'g', -1, 64)
 }
 
+// postJob serves a cacheable POST endpoint: it reads the body, decodes
+// it strictly as a Req, validates it into a cache key and computation
+// with job, and either forwards it to the owning replica or computes
+// it under the request timeout.
+func postJob[Req any](s *Server, job func(Req) (string, func() ([]byte, error), error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := readBody(w, r)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		var req Req
+		if err := decodeStrict(body, &req); err != nil {
+			s.writeError(w, err)
+			return
+		}
+		key, fn, err := job(req)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		if s.maybeForward(w, r, key, body) {
+			return
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+		out, cached, err := s.compute(ctx, key, fn)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		s.writeComputed(w, out, cached)
+	}
+}
+
 // --- POST /v1/percore -------------------------------------------------
 
 // perCoreJob validates a percore request into its cache key and
@@ -191,35 +228,6 @@ func (s *Server) perCoreJob(req api.PerCoreRequest) (string, func() ([]byte, err
 			Total:       pc.Total(),
 		})
 	}, nil
-}
-
-func (s *Server) handlePerCore(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	var req api.PerCoreRequest
-	if err := decodeStrict(body, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	key, fn, err := s.perCoreJob(req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if s.maybeForward(w, r, key, body) {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	out, cached, err := s.compute(ctx, key, fn)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeComputed(w, out, cached)
 }
 
 func normalizeCI(ci float64, d *dataset) (units.CarbonIntensity, error) {
@@ -272,35 +280,6 @@ func (s *Server) savingsJob(req api.SavingsRequest) (string, func() ([]byte, err
 			Total:       sv.Total,
 		})
 	}, nil
-}
-
-func (s *Server) handleSavings(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	var req api.SavingsRequest
-	if err := decodeStrict(body, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	key, fn, err := s.savingsJob(req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if s.maybeForward(w, r, key, body) {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	out, cached, err := s.compute(ctx, key, fn)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeComputed(w, out, cached)
 }
 
 // --- POST /v1/evaluate ------------------------------------------------
@@ -393,35 +372,6 @@ func (s *Server) evaluateJob(req api.EvaluateRequest) (string, func() ([]byte, e
 		resp.Cluster.BufferServers = ev.Buffered.BufferServers
 		return marshalBody(resp)
 	}, nil
-}
-
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	var req api.EvaluateRequest
-	if err := decodeStrict(body, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	key, fn, err := s.evaluateJob(req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if s.maybeForward(w, r, key, body) {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	out, cached, err := s.compute(ctx, key, fn)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeComputed(w, out, cached)
 }
 
 // traceParams resolves a workload spec against the generator defaults

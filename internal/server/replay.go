@@ -17,10 +17,8 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
-	"net/http"
 	"strconv"
 
 	"github.com/greensku/gsf/internal/alloc"
@@ -231,33 +229,4 @@ func replayStats(cs alloc.ClassStats) api.ReplayPoolStats {
 		CXLServedFrac: opt(cs.CXLServedFrac),
 		LocalFitsFrac: opt(cs.LocalFitsFrac),
 	}
-}
-
-func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	var req api.ReplayRequest
-	if err := decodeStrict(body, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	key, fn, err := s.replayJob(req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if s.maybeForward(w, r, key, body) {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	out, cached, err := s.compute(ctx, key, fn)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeComputed(w, out, cached)
 }

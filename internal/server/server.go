@@ -234,14 +234,14 @@ func New(cfg Config) (*Server, error) {
 }
 
 func (s *Server) routes() {
-	s.mux.Handle("POST /v1/percore", s.instrument("/v1/percore", s.limited(s.handlePerCore)))
-	s.mux.Handle("POST /v1/savings", s.instrument("/v1/savings", s.limited(s.handleSavings)))
-	s.mux.Handle("POST /v1/evaluate", s.instrument("/v1/evaluate", s.limited(s.handleEvaluate)))
+	s.mux.Handle("POST /v1/percore", s.instrument("/v1/percore", s.limited(postJob(s, s.perCoreJob))))
+	s.mux.Handle("POST /v1/savings", s.instrument("/v1/savings", s.limited(postJob(s, s.savingsJob))))
+	s.mux.Handle("POST /v1/evaluate", s.instrument("/v1/evaluate", s.limited(postJob(s, s.evaluateJob))))
 	s.mux.Handle("POST /v1/batch", s.instrument("/v1/batch", s.limited(s.handleBatch)))
 	s.mux.Handle("POST /v1/sweep", s.instrument("/v1/sweep", s.limited(s.handleSweep)))
 	s.mux.Handle("POST /v1/ciseries", s.instrument("/v1/ciseries", s.limited(s.handleCISeries)))
 	s.mux.Handle("POST /v1/design", s.instrument("/v1/design", s.limited(s.handleDesign)))
-	s.mux.Handle("POST /v1/replay", s.instrument("/v1/replay", s.limited(s.handleReplay)))
+	s.mux.Handle("POST /v1/replay", s.instrument("/v1/replay", s.limited(postJob(s, s.replayJob))))
 	s.mux.Handle("GET /v1/skus", s.instrument("/v1/skus", s.handleSKUs))
 	s.mux.Handle("GET /v1/datasets", s.instrument("/v1/datasets", s.handleDatasets))
 	s.mux.Handle("GET /v1/limits", s.instrument("/v1/limits", s.handleLimits))
