@@ -13,9 +13,10 @@ package oracle
 // percentile. It draws a different stream, so it agrees with the
 // production kernel only statistically.
 //
-// KneeSearch is the per-probe knee search: every probe is a whole
-// FastSampler run, where queueing.KneeSearch shares one set of random
-// columns across its probes and selects one P95 at the end.
+// KneeSearch is the per-probe, floor-first knee search: every probe is
+// a whole FastSampler run, where queueing.KneeSearch probes the bracket
+// top first, shares one set of random columns across its probes and
+// selects one P95 at the end.
 
 import (
 	"context"
@@ -123,10 +124,12 @@ func (h freeHeap) replaceMin(v float64) {
 	}
 }
 
-// KneeSearch is queueing.KneeSearch with every probe a whole
-// FastSampler run: evaluate the bracket floor, then its top, then
-// bisect until the bracket is no wider than tolFrac or its midpoint
-// rounds onto an endpoint. It takes the arguments as valid (a service
+// KneeSearch is the floor-first reference for queueing.KneeSearch,
+// with every probe a whole FastSampler run: evaluate the bracket floor,
+// then its top, then bisect until the bracket is no wider than tolFrac
+// or its midpoint rounds onto an endpoint. queueing.KneeSearch probes
+// the top first and returns the same Knee but for Evals. It takes the
+// arguments as valid (a service
 // distribution, finite 0 < loFrac < hiFrac, tolFrac > 0); checking
 // them is queueing.KneeSearch's job.
 func KneeSearch(ctx context.Context, cfg queueing.Config, loFrac, hiFrac, tolFrac float64) (queueing.Knee, error) {

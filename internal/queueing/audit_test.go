@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"context"
 	"testing"
 
 	"github.com/greensku/gsf/internal/audit"
@@ -59,5 +60,50 @@ func TestAuditHeapDetectsDisorder(t *testing.T) {
 	auditHeap(rec, serverHeap{1, 5, 9, 6, 7})
 	if rec.Count() != 0 {
 		t.Fatalf("valid heap flagged: %v", rec.Violations())
+	}
+}
+
+// TestKneeSearchAuditsMonotonicity is the canary for the property the
+// top-first probe order rests on. No natural search inverts the
+// verdict, so testFloorSaturated forces the floor of a bracket stable
+// at its top to read saturated: the audited search must record exactly
+// one queueing/knee-monotone and still return the unaudited answer,
+// the bracket top with its own P95.
+func TestKneeSearchAuditsMonotonicity(t *testing.T) {
+	withoutAudit(t)
+	cfg := Config{Servers: 8, Service: LogNormal{0.004, 1}, Requests: 5000, Seed: 5}
+	ctx := context.Background()
+	want, err := KneeSearch(ctx, cfg, 0.2, 0.6, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Found || want.Evals != 1 {
+		t.Fatalf("unaudited search %+v, want the stable top after one probe", want)
+	}
+
+	for _, forced := range []bool{false, true} {
+		testFloorSaturated = forced
+		rec := audit.NewRecorder()
+		cfg.Audit = rec
+		got, err := KneeSearch(ctx, cfg, 0.2, 0.6, 0.05)
+		testFloorSaturated = false
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Evals != 2 {
+			t.Errorf("forced=%v: audited search took %d evals, want 2 (top, then floor)", forced, got.Evals)
+		}
+		got.Evals = want.Evals
+		if got != want {
+			t.Errorf("forced=%v: audited search\n got %+v\nwant %+v", forced, got, want)
+		}
+		var wantViolations int64
+		if forced {
+			wantViolations = 1
+		}
+		if n := rec.Counts()["queueing/knee-monotone"]; n != wantViolations || rec.Count() != n {
+			t.Errorf("forced=%v: %d knee-monotone of %d violations, want %d: %v",
+				forced, n, rec.Count(), wantViolations, rec.Violations())
+		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"github.com/greensku/gsf/internal/audit"
 )
 
 // TestRunSteadyStateAllocs pins the per-run allocation count once the
@@ -112,20 +114,37 @@ func TestKneeSearchFindsKnee(t *testing.T) {
 	}
 }
 
+// TestKneeSearchStableBracket pins the top-first exit: a bracket stable
+// at its top returns it after one probe, and an audited search spends
+// a second on the floor to check monotonicity.
 func TestKneeSearchStableBracket(t *testing.T) {
-	cfg := Config{Servers: 8, Service: LogNormal{0.004, 1}, Requests: 30000, Seed: 5}
-	k, err := KneeSearch(context.Background(), cfg, 0.2, 0.6, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.Found {
-		t.Fatalf("knee reported at %.3f inside an all-stable bracket", k.KneeFrac)
-	}
-	if k.StableFrac != 0.6 {
-		t.Fatalf("stable frac = %v, want the bracket top 0.6", k.StableFrac)
-	}
-	if k.Evals != 2 {
-		t.Errorf("all-stable bracket took %d evals, want exactly 2 (endpoints)", k.Evals)
+	withoutAudit(t)
+	for _, audited := range []bool{false, true} {
+		cfg := Config{Servers: 8, Service: LogNormal{0.004, 1}, Requests: 30000, Seed: 5}
+		rec := audit.NewRecorder()
+		if audited {
+			cfg.Audit = rec
+		}
+		k, err := KneeSearch(context.Background(), cfg, 0.2, 0.6, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.Found {
+			t.Fatalf("audited=%v: knee reported at %.3f inside an all-stable bracket", audited, k.KneeFrac)
+		}
+		if k.StableFrac != 0.6 {
+			t.Fatalf("audited=%v: stable frac = %v, want the bracket top 0.6", audited, k.StableFrac)
+		}
+		want := 1
+		if audited {
+			want = 2
+		}
+		if k.Evals != want {
+			t.Errorf("audited=%v: all-stable bracket took %d evals, want exactly %d", audited, k.Evals, want)
+		}
+		if rec.Count() != 0 {
+			t.Errorf("audited=%v: %d audit violations: %v", audited, rec.Count(), rec.Violations())
+		}
 	}
 }
 

@@ -105,10 +105,30 @@ func TestBatchedKneeSearchMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kb != kr {
+		if !sameKnee(kb, kr, true) {
 			t.Fatalf("servers %d: batched knee %+v != oracle knee %+v", servers, kb, kr)
 		}
 	}
+}
+
+// sameKnee reports that got, a KneeSearch result, equals want, the
+// floor-first per-probe oracle's, in every field. Evals differs by the
+// probe order alone: an unaudited search stable at its top skips the
+// floor, and a search saturated at its floor (the oracle's only
+// one-probe exit) probed the top first.
+func sameKnee(got, want queueing.Knee, audited bool) bool {
+	evals := want.Evals
+	switch {
+	case want.Evals == 1:
+		evals = 2
+	case !want.Found && !audited:
+		evals = 1
+	}
+	if got.Evals != evals {
+		return false
+	}
+	got.Evals = want.Evals
+	return got == want
 }
 
 // kneeWallShapes are the service shapes the knee wall sweeps:
@@ -133,8 +153,9 @@ var kneeWallBrackets = []struct{ lo, hi, tol float64 }{
 }
 
 // TestKneeSearchMatchesPerProbeOracle35Seeds is the knee wall: 35 seeds
-// × 4 service shapes × 8 and 96 servers × audit on and off. Audited
-// runs must also record no violations.
+// × 4 service shapes × 8 and 96 servers × audit on and off. Every Knee
+// field must match the oracle's, Evals by sameKnee's rule. Audited runs
+// must also record no violations, knee-monotone included.
 func TestKneeSearchMatchesPerProbeOracle35Seeds(t *testing.T) {
 	seeds := uint64(35)
 	if testing.Short() || raceEnabled {
@@ -162,7 +183,7 @@ func TestKneeSearchMatchesPerProbeOracle35Seeds(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: oracle: %v", name, err)
 					}
-					if got != want {
+					if !sameKnee(got, want, audited) {
 						t.Fatalf("%s:\n got %+v\nwant %+v", name, got, want)
 					}
 					if rec != nil && rec.Count() != 0 {
@@ -189,9 +210,9 @@ func TestKneeSearchNonPositiveCapacityErrors(t *testing.T) {
 
 // TestKneeSearchColumnsFromPool pins that a steady-state knee search
 // takes its random columns and both latency buffers from their pools.
-// What it does allocate is one server heap per probe plus the prober,
-// its RNG and the prepared sampler; fresh columns would add three
-// allocations per search, fresh latency buffers two each.
+// What it does allocate is one server heap per simulated probe plus
+// the column draw's RNG and prepared sampler; fresh columns would add
+// three allocations per search, fresh latency buffers two each.
 func TestKneeSearchColumnsFromPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops items at random")
@@ -205,8 +226,54 @@ func TestKneeSearchColumnsFromPool(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if want := float64(k.Evals + 3); avg > want {
+	if want := float64(k.Evals + 2); avg > want {
 		t.Errorf("steady-state knee search allocates %.0f times for %d probes, want at most %.0f", avg, k.Evals, want)
+	}
+}
+
+// TestKneeSearchOverloadedBracketSimulatesNothing pins the overload
+// shortcut: every probe of an unaudited search on [1.1, 1.5] is offered
+// at or above capacity, which saturated's first clause decides without
+// a simulation. The search reports the floor as the knee after two
+// probes and allocates nothing: no columns, no latency buffers, no
+// server heap. A cancelled context still fails it, as it fails a
+// simulated probe. A window under four requests, too short for
+// saturated to judge, still simulates every probe and matches the
+// oracle.
+func TestKneeSearchOverloadedBracketSimulatesNothing(t *testing.T) {
+	withoutAudit(t)
+	cfg := queueing.Config{Servers: 8, Service: logNormal(0.004, 1.5), Requests: 5000, Seed: 3}
+	var k queueing.Knee
+	avg := testing.AllocsPerRun(20, func() {
+		var err error
+		if k, err = queueing.KneeSearch(context.Background(), cfg, 1.1, 1.5, 0.05); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !k.Found || k.KneeFrac != 1.1 || k.Evals != 2 {
+		t.Fatalf("overloaded bracket: %+v, want the floor 1.1 as the knee after 2 probes", k)
+	}
+	if avg != 0 {
+		t.Errorf("overloaded knee search allocates %.1f times, want 0", avg)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := queueing.KneeSearch(ctx, cfg, 1.1, 1.5, 0.05); err != context.Canceled {
+		t.Errorf("overloaded knee search under a cancelled context: error %v, want %v", err, context.Canceled)
+	}
+	for n := 1; n <= 4; n++ {
+		cfg.Requests = n
+		got, err := queueing.KneeSearch(context.Background(), cfg, 1.1, 1.5, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.KneeSearch(context.Background(), cfg, 1.1, 1.5, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameKnee(got, want, false) {
+			t.Errorf("%d requests:\n got %+v\nwant %+v", n, got, want)
+		}
 	}
 }
 
