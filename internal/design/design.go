@@ -205,11 +205,13 @@ func CheckFrontier(ctx context.Context, c audit.Checker, ev *Evaluator, f *Front
 	if c == nil || f == nil {
 		return
 	}
-	// Fresh caches and no process-wide SLO memo: the recompute must
-	// not be served by the state under test.
+	// Fresh caches, no process-wide SLO memo, and audited knee
+	// searches, which draw their own columns: the recompute must not be
+	// served by the state under test.
 	fopt := ev.Perf
 	fopt.Base.DisableSLOMemo = true
 	fresh := NewEvaluator(ev.Model, ev.CI, fopt)
+	fresh.audit = c
 	pts := f.Points()
 	for _, p := range pts {
 		pc, err := fresh.Model.PerCore(p.SKU, fresh.CI)

@@ -7,11 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/greensku/gsf/internal/apps"
 	"github.com/greensku/gsf/internal/audit"
 	"github.com/greensku/gsf/internal/carbon"
 	"github.com/greensku/gsf/internal/carbondata"
+	"github.com/greensku/gsf/internal/engine"
 	"github.com/greensku/gsf/internal/hw"
 	"github.com/greensku/gsf/internal/perf"
+	"github.com/greensku/gsf/internal/queueing"
 	"github.com/greensku/gsf/internal/units"
 )
 
@@ -203,9 +206,9 @@ func TestCandidatesEnumerationOrderAndNames(t *testing.T) {
 	}
 }
 
-// TestProfileKeyMatchesPerCallFormat pins the memo keys byte for byte
-// to the format that re-rendered the options on every call, with the
-// normalised-out fields set so they must still vanish from the key.
+// TestProfileKeyMatchesPerCallFormat pins the score memo key byte for
+// byte to the format that re-rendered the options on every call, with
+// the normalised-out fields set so they must still vanish from the key.
 func TestProfileKeyMatchesPerCallFormat(t *testing.T) {
 	m, err := carbon.New(carbondata.OpenSource())
 	if err != nil {
@@ -220,12 +223,99 @@ func TestProfileKeyMatchesPerCallFormat(t *testing.T) {
 	norm.Base.DisableSLOMemo = false
 	for _, sku := range []hw.SKU{hw.BaselineGen3(), hw.GreenSKUFull()} {
 		p := perf.ProfileOf(sku, sku.HasCXL())
-		for _, kind := range [][2]string{{"score", ""}, {"knee", "memcached"}} {
-			want := fmt.Sprintf("%s|%s|%v|%v|%v|%v|%#v", kind[0], kind[1],
-				p.CPUScore, p.LLCPerCoreMiB, p.BWPerCoreGBs, p.MemLatencyNs, norm)
-			if got := ev.profileKey(kind[0], kind[1], p); got != want {
-				t.Fatalf("%s %s key:\n got %q\nwant %q", sku.Name, kind[0], got, want)
-			}
+		want := fmt.Sprintf("%v|%v|%v|%v|%#v",
+			p.CPUScore, p.LLCPerCoreMiB, p.BWPerCoreGBs, p.MemLatencyNs, norm)
+		if got := ev.profileKey(p); got != want {
+			t.Fatalf("%s score key:\n got %q\nwant %q", sku.Name, got, want)
 		}
+	}
+}
+
+// TestSearchRunsOneKneeSearchPerQueue pins the knee memo's key: a
+// default search runs exactly one knee search per distinct queue, that
+// is per distinct (ServiceTime, CV) pair over the baseline and every
+// candidate's profile and the representative apps. Apps and profiles
+// that ServiceTime maps onto the same mean share one search.
+func TestSearchRunsOneKneeSearchPerQueue(t *testing.T) {
+	ctx := context.Background()
+	opt := DefaultOptions()
+	m, err := carbon.New(carbondata.OpenSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	skus, err := Candidates(opt.Space, opt.Constraints, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type queue struct{ mean, cv float64 }
+	queues := map[queue]bool{}
+	profiles := []perf.Profile{perf.ProfileOf(hw.BaselineGen3(), false)}
+	for _, sku := range skus {
+		profiles = append(profiles, perf.ProfileOf(sku, sku.HasCXL()))
+	}
+	for _, p := range profiles {
+		for _, a := range apps.Representatives() {
+			queues[queue{perf.ServiceTime(a, p), a.CV}] = true
+		}
+	}
+	if len(queues) != 24 {
+		t.Errorf("default space has %d distinct knee-search queues, want 24", len(queues))
+	}
+
+	ev := NewEvaluator(m, opt.CI, opt.Perf)
+	_, err = engine.Collect(engine.Map(ctx, 0, len(skus), func(ctx context.Context, i int) (Point, error) {
+		return ev.Evaluate(ctx, skus[i])
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := ev.KneeStats()
+	if misses != int64(len(queues)) {
+		t.Errorf("%d knee searches (%d memo hits), want one per distinct queue: %d", misses, hits, len(queues))
+	}
+}
+
+// TestUnauditedSearchMatchesAudited pins that the unaudited search,
+// whose knee searches share their seed-only draws across the process
+// and run on four workers, returns the audited search's result bit for
+// bit; the audited one draws every column afresh and checks the shared
+// entries against them. The search runs on a seed no other test uses,
+// so the shared cache starts cold for it and fills once.
+func TestUnauditedSearchMatchesAudited(t *testing.T) {
+	ctx := context.Background()
+	opt := DefaultOptions()
+	opt.Perf.Base.Seed += 7919
+	opt.Workers = 1
+	rec := audit.NewRecorder()
+	audited := opt
+	audited.Audit = rec
+	prev := audit.Default()
+	t.Cleanup(func() { audit.SetDefault(prev) })
+	audit.SetDefault(rec)
+	want, err := Search(ctx, audited)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	audit.SetDefault(nil)
+	opt.Workers = 4
+	hits0, misses0 := queueing.ColumnCacheStats()
+	got, err := Search(ctx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := queueing.ColumnCacheStats(); misses-misses0 > 1 || hits-hits0 == 0 {
+		t.Errorf("unaudited search: %d shared-column misses and %d hits, want at most 1 and some", misses-misses0, hits-hits0)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("unaudited search differs from the audited one:\n got %+v\nwant %+v", got, want)
+	}
+	// The audited recompute now finds the shared entry and checks it.
+	audit.SetDefault(rec)
+	if _, err := Search(ctx, audited); err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.Count(); n != 0 {
+		t.Fatalf("audited searches recorded %d violations: %v", n, rec.Violations())
 	}
 }

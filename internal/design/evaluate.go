@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/greensku/gsf/internal/apps"
+	"github.com/greensku/gsf/internal/audit"
 	"github.com/greensku/gsf/internal/carbon"
 	"github.com/greensku/gsf/internal/engine"
 	"github.com/greensku/gsf/internal/hw"
@@ -50,7 +51,9 @@ const perfScoreCacheEntries = 256
 // performance profile (perf.ProfileOf, which is independent of DIMM
 // sizes, SSDs, and GPUs), so a thousand-candidate space typically pays
 // for only a handful of simulations; everything else is served from
-// the memo with bit-identical values.
+// the memo with bit-identical values. Knee searches are memoised by
+// the queue they simulate (kneeKey), which distinct profiles often
+// share. Both memos are per evaluator.
 type Evaluator struct {
 	Model *carbon.Model
 	CI    units.CarbonIntensity
@@ -62,6 +65,9 @@ type Evaluator struct {
 	// optKey is Perf formatted for memo keys, once per evaluator;
 	// Perf must not change after NewEvaluator.
 	optKey string
+	// audit checks the knee searches; nil falls back to the process
+	// default. CheckFrontier sets it on its fresh evaluator.
+	audit audit.Checker
 }
 
 // NewEvaluator returns an evaluator over the model's dataset. A zero
@@ -113,10 +119,22 @@ func perfOptionsKey(opt PerfOptions) string {
 
 // profileKey identifies a performance profile minus its SKU name — the
 // fields ServiceTime actually reads — plus the evaluator's options.
-func (e *Evaluator) profileKey(kind string, a string, p perf.Profile) string {
-	return fmt.Sprintf("%s|%s|%v|%v|%v|%v|%s", kind, a,
+func (e *Evaluator) profileKey(p perf.Profile) string {
+	return fmt.Sprintf("%v|%v|%v|%v|%s",
 		p.CPUScore, p.LLCPerCoreMiB, p.BWPerCoreGBs, p.MemLatencyNs, e.optKey)
 }
+
+// kneeKey identifies a knee search by exactly what it reads: the
+// service mean and CV, plus the options, which carry the server count,
+// request count, seed and bracket. Apps and profiles that ServiceTime
+// maps onto the same mean share one search.
+func (e *Evaluator) kneeKey(mean, cv float64) string {
+	return fmt.Sprintf("%v|%v|%s", mean, cv, e.optKey)
+}
+
+// KneeStats reports the evaluator's knee-memo hits and misses; every
+// miss is one knee search.
+func (e *Evaluator) KneeStats() (hits, misses int64) { return e.knees.Stats() }
 
 // PerfScore is the portfolio per-core capacity of the SKU relative to
 // the Gen3 baseline: for every latency-critical workload class the
@@ -135,7 +153,7 @@ func (e *Evaluator) PerfScore(ctx context.Context, sku hw.SKU) (float64, error) 
 		return 0, err
 	}
 	p := perf.ProfileOf(sku, sku.HasCXL())
-	return e.scores.Do(e.profileKey("score", "", p), func() (float64, error) {
+	return e.scores.Do(e.profileKey(p), func() (float64, error) {
 		return e.perfScore(ctx, p)
 	})
 }
@@ -199,12 +217,14 @@ func (e *Evaluator) classRatio(ctx context.Context, a apps.App, green, base perf
 // knee runs (or serves from the memo) the adaptive sustainable-load
 // search for one app on one profile's VM.
 func (e *Evaluator) knee(ctx context.Context, a apps.App, p perf.Profile) (queueing.Knee, error) {
-	return e.knees.Do(e.profileKey("knee", a.Name, p), func() (queueing.Knee, error) {
+	svc := queueing.LogNormal{MeanSeconds: perf.ServiceTime(a, p), CV: a.CV}
+	return e.knees.Do(e.kneeKey(svc.MeanSeconds, svc.CV), func() (queueing.Knee, error) {
 		cfg := queueing.Config{
 			Servers:  e.Perf.Base.BaselineCores,
-			Service:  queueing.LogNormal{MeanSeconds: perf.ServiceTime(a, p), CV: a.CV},
+			Service:  svc,
 			Requests: e.Perf.Base.Requests,
 			Seed:     e.Perf.Base.Seed,
+			Audit:    e.audit,
 		}
 		return queueing.KneeSearch(ctx, cfg, e.Perf.KneeLo, e.Perf.KneeHi, e.Perf.KneeTol)
 	})

@@ -84,6 +84,19 @@ func (c *Cache[V]) Do(key string, fn func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
+// Peek returns the value retained for key, if a completed one is. It
+// computes nothing, waits for nothing, counts neither a hit nor a
+// miss, and leaves the entry's recency unchanged.
+func (c *Cache[V]) Peek(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok && e.elem != nil {
+		return e.val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // Stats reports cumulative completed-hit and miss counts.
 func (c *Cache[V]) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()

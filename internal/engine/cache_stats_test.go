@@ -54,3 +54,37 @@ func TestCacheStatsConcurrent(t *testing.T) {
 		t.Errorf("Len() = %d exceeds capacity %d", c.Len(), keys)
 	}
 }
+
+// TestCachePeek pins Peek's contract: it sees only completed, retained
+// values, never computes or waits, and moves neither the counters nor
+// the LRU order.
+func TestCachePeek(t *testing.T) {
+	c := NewCache[int](2)
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("Peek found a value never computed")
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	go c.Do("a", func() (int, error) { close(started); <-release; return 1, nil })
+	<-started
+	if _, ok := c.Peek("a"); ok {
+		t.Error("Peek returned an in-flight value")
+	}
+	close(release)
+	c.Do("a", func() (int, error) { return 0, nil }) // waits for the leader
+	c.Do("b", func() (int, error) { return 2, nil })
+	h0, m0 := c.Stats()
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Errorf("Peek(a) = %d, %v; want 1, true", v, ok)
+	}
+	if h, m := c.Stats(); h != h0 || m != m0 {
+		t.Errorf("Peek moved the counters: %d/%d -> %d/%d", h0, m0, h, m)
+	}
+	// a is the least recently used despite the Peek, so c evicts it.
+	c.Do("c", func() (int, error) { return 3, nil })
+	if _, ok := c.Peek("a"); ok {
+		t.Error("Peek refreshed a's recency: it survived an eviction")
+	}
+	if v, ok := c.Peek("b"); !ok || v != 2 {
+		t.Errorf("Peek(b) = %d, %v; want 2, true", v, ok)
+	}
+}

@@ -107,3 +107,47 @@ func TestKneeSearchAuditsMonotonicity(t *testing.T) {
 		}
 	}
 }
+
+// TestKneeSearchAuditsSharedColumns is the canary for the shared
+// column cache. It corrupts one event of a retained entry: an
+// unaudited search then reads the bad draw, while an audited search
+// must draw its own columns, record exactly one queueing/shared-columns
+// and return the fresh-draw Knee.
+func TestKneeSearchAuditsSharedColumns(t *testing.T) {
+	withoutAudit(t)
+	// A seed no other test uses, so the entry is this test's alone.
+	cfg := Config{Servers: 8, Service: LogNormal{0.004, 1.2}, Requests: 5000, Seed: 0x5eed}
+	ctx := context.Background()
+	want, err := KneeSearch(ctx, cfg, 0.5, 1.3, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := cfg.WithDefaults()
+	d, ok := sharedColumns.Peek(sharedKey(cfg.Seed, full.Warmup+full.Requests))
+	if !ok {
+		t.Fatal("unaudited search left no shared entry")
+	}
+	i := full.Warmup + full.Requests/2
+	orig := d.norm[i]
+	d.norm[i] = 40 // a service time of e^37 seconds saturates any probe
+	defer func() { d.norm[i] = orig }()
+
+	if bad, err := KneeSearch(ctx, cfg, 0.5, 1.3, 0.02); err != nil {
+		t.Fatal(err)
+	} else if bad == want {
+		t.Fatal("the corrupted entry did not change the unaudited answer; the canary proves nothing")
+	}
+	rec := audit.NewRecorder()
+	cfg.Audit = rec
+	got, err := KneeSearch(ctx, cfg, 0.5, 1.3, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Evals = want.Evals
+	if got != want {
+		t.Errorf("audited search over a corrupted entry\n got %+v\nwant %+v", got, want)
+	}
+	if n := rec.Counts()["queueing/shared-columns"]; n != 1 || rec.Count() != 1 {
+		t.Errorf("%d shared-columns of %d violations, want exactly 1: %v", n, rec.Count(), rec.Violations())
+	}
+}

@@ -25,15 +25,17 @@ package queueing
 //
 // Context polling and audit sweeps happen at batch boundaries, every
 // 4096 requests. A knee search fills its batches from columns drawn
-// once per search instead (see columns); the dispatch loop is the
-// same.
+// once per search, or partly shared across searches (see columns);
+// the dispatch loop is the same.
 
 import (
 	"context"
 	"math"
+	"strconv"
 	"sync"
 
 	"github.com/greensku/gsf/internal/audit"
+	"github.com/greensku/gsf/internal/engine"
 	"github.com/greensku/gsf/internal/stats"
 )
 
@@ -53,9 +55,9 @@ var eventBufPool = sync.Pool{New: func() any { return new(eventBuf) }}
 // runBatched is the default event loop behind Run/RunContext.
 func runBatched(ctx context.Context, cfg Config) (Result, error) {
 	chk := audit.Resolve(cfg.Audit)
-	buf := getLatencyBuf(cfg.Requests)
+	buf := getFloats(&latencyPool, cfg.Requests)
 	defer latencyPool.Put(buf)
-	if err := sweep(ctx, cfg, chk, nil, buf); err != nil {
+	if err := sweep(ctx, cfg, chk, nil, make(serverHeap, cfg.Servers), buf); err != nil {
 		return Result{}, err
 	}
 	return summarize(cfg, chk, *buf), nil
@@ -66,39 +68,132 @@ func runBatched(ctx context.Context, cfg Config) (Result, error) {
 // simulates. Probes differ only in arrival rate, and the fillers scale
 // a unit draw x into meanIA*x, so a probe's gap is meanIA*unit[i]
 // (1*x == x exactly) and its service times are the column itself.
+//
+// The service column is always the search's own. The gap column is
+// too, except where the search reads the shared draws (see
+// sharedColumns): there unit aliases the shared gaps, which no search
+// writes.
 type columns struct {
 	unit, svc []float64
+	// own is the pooled storage behind svc and, unless it is shared,
+	// unit.
+	own [2]*[]float64
 }
 
-// columnsPool recycles knee-search columns, stored by pointer like the
-// latency buffers.
-var columnsPool sync.Pool
-
-// getColumns returns columns of length n, reusing pooled storage.
-func getColumns(n int) *columns {
-	c, _ := columnsPool.Get().(*columns)
-	if c == nil || cap(c.unit) < n {
-		c = &columns{unit: make([]float64, n), svc: make([]float64, n)}
+// release returns the columns' own storage to columnPool.
+func (c *columns) release() {
+	for _, b := range c.own {
+		if b != nil {
+			columnPool.Put(b)
+		}
 	}
-	c.unit, c.svc = c.unit[:n], c.svc[:n]
-	return c
 }
 
-// drawColumns returns columns filled from cfg's seed by the same
-// fillers, in the same draw order, that runBatched uses, at mean
-// arrival gap 1. cfg.Requests and cfg.Warmup must hold their defaults.
-func drawColumns(cfg Config) *columns {
-	c := getColumns(cfg.Warmup + cfg.Requests)
-	fillEvents(cfg.Service.Prepare(), stats.NewRNG(cfg.Seed), c.unit, c.svc, 1)
-	return c
+// columnPool recycles the columns a search owns, stored by pointer
+// like the latency buffers.
+var columnPool sync.Pool
+
+// The draws of a knee search that depend on its seed and event count
+// alone, the unit arrival gaps and the standard normals behind a
+// log-normal service column, are the same for every search on that
+// seed, whatever its service mean, CV, server count or bracket. An
+// unaudited log-normal search therefore takes them from one bounded,
+// process-wide cache and computes only its own service column from
+// the normals, through the helper FillExpLogNormal itself uses, so its
+// columns equal a fresh draw bit for bit. An audited search draws its
+// own columns and, when the cache holds its seed's entry, compares the
+// two and records queueing/shared-columns on any difference: an
+// audited recompute is never served by the state it checks. Other
+// service distributions draw per search.
+const (
+	// sharedColumnEntries bounds the seeds the cache retains at once.
+	sharedColumnEntries = 4
+	// maxSharedEvents bounds one entry to 16 bytes per event, 2 MiB;
+	// longer searches draw per search.
+	maxSharedEvents = 1 << 17
+)
+
+// sharedDraws is one retained entry. Its slices are never written
+// after the fill and never returned to a pool.
+type sharedDraws struct{ unit, norm []float64 }
+
+var sharedColumns = engine.NewCache[sharedDraws](sharedColumnEntries)
+
+// ColumnCacheStats reports the shared knee-search column cache's
+// cumulative hits and misses.
+func ColumnCacheStats() (hits, misses int64) { return sharedColumns.Stats() }
+
+func sharedKey(seed uint64, n int) string {
+	var b [48]byte
+	k := strconv.AppendUint(b[:0], seed, 10)
+	k = append(k, '/')
+	return string(strconv.AppendInt(k, int64(n), 10))
 }
 
-// sweep runs the dispatch loop and appends each measured request's
+// sharedDrawsFor returns the shared draws of n events from seed,
+// filling them once however many searches ask at the same time.
+func sharedDrawsFor(seed uint64, n int) sharedDraws {
+	// The fill cannot fail, so Do returns no error.
+	d, _ := sharedColumns.Do(sharedKey(seed, n), func() (sharedDraws, error) {
+		buf := make([]float64, 2*n)
+		d := sharedDraws{unit: buf[:n:n], norm: buf[n:]}
+		stats.NewRNG(seed).FillExpNormal(d.unit, d.norm)
+		return d, nil
+	})
+	return d
+}
+
+// drawColumns returns columns of cfg.Warmup+cfg.Requests events from
+// cfg's seed, at mean arrival gap 1, equal to what runBatched's fillers
+// draw in the same order; the caller releases them. cfg.Requests and
+// cfg.Warmup must hold their defaults.
+func drawColumns(cfg Config, chk audit.Checker) columns {
+	n := cfg.Warmup + cfg.Requests
+	var cols columns
+	cols.own[0] = getFloats(&columnPool, n)
+	cols.svc = (*cols.own[0])[:n]
+	sampler := cfg.Service.Prepare()
+	ln, logNormal := sampler.(fastLogNormal)
+	if logNormal && chk == nil && n <= maxSharedEvents {
+		d := sharedDrawsFor(cfg.Seed, n)
+		for i, y := range d.norm {
+			cols.svc[i] = stats.LogNormalAt(ln.mu, ln.sigma, y)
+		}
+		cols.unit = d.unit
+		return cols
+	}
+	cols.own[1] = getFloats(&columnPool, n)
+	cols.unit = (*cols.own[1])[:n]
+	fillEvents(sampler, stats.NewRNG(cfg.Seed), cols.unit, cols.svc, 1)
+	if logNormal && chk != nil {
+		auditSharedColumns(chk, cfg.Seed, ln, cols)
+	}
+	return cols
+}
+
+// auditSharedColumns compares an audited search's own columns with the
+// shared entry for its seed, if the cache retains one.
+func auditSharedColumns(chk audit.Checker, seed uint64, ln fastLogNormal, cols columns) {
+	d, ok := sharedColumns.Peek(sharedKey(seed, len(cols.unit)))
+	if !ok {
+		return
+	}
+	for i, u := range cols.unit {
+		if d.unit[i] != u || stats.LogNormalAt(ln.mu, ln.sigma, d.norm[i]) != cols.svc[i] {
+			audit.Failf(chk, "queueing", "shared-columns",
+				"seed %d: shared draws differ from a fresh draw at event %d", seed, i)
+			return
+		}
+	}
+}
+
+// sweep runs the dispatch loop over free, a heap with one slot per
+// server that it first resets, and appends each measured request's
 // latency, in arrival order, to the empty buffer *lat. With cols nil it
 // draws the events from cfg.Seed batch by batch; otherwise it reads
 // them from cols, scaled to cfg.ArrivalRate. Only the fill step
 // differs: both feed the same dispatch loop bit-identical events.
-func sweep(ctx context.Context, cfg Config, chk audit.Checker, cols *columns, lat *[]float64) error {
+func sweep(ctx context.Context, cfg Config, chk audit.Checker, cols *columns, free serverHeap, lat *[]float64) error {
 	var r *stats.RNG
 	var sampler Sampler
 	if cols == nil {
@@ -110,7 +205,7 @@ func sweep(ctx context.Context, cfg Config, chk audit.Checker, cols *columns, la
 	total := cfg.Warmup + cfg.Requests
 	// All servers start free at t=0; an all-equal slice is already a
 	// valid min-heap.
-	free := make(serverHeap, cfg.Servers)
+	clear(free)
 
 	eb := eventBufPool.Get().(*eventBuf)
 	defer eventBufPool.Put(eb)

@@ -5,9 +5,14 @@ package queueing
 // (common random numbers); only the arrival rate changes. So the
 // search draws the random columns once, on its first simulated probe,
 // and each probe only rescales the arrival gaps (see columns). The
-// search reads a probe's saturation verdict and, for the final stable
-// point only, its P95: a stable probe keeps its latency buffer and the
-// P95 is selected once, when the search returns. Saturated probes do
+// gaps and the normals behind a log-normal service column depend on
+// the seed and request count alone, so unaudited searches share them
+// across the process and compute only their own service column; an
+// audited search draws its own and checks the shared entry against
+// them (batch.go). The search reads a probe's saturation verdict and,
+// for the final stable point only, its P95: a stable probe keeps its
+// latency buffer and the P95 is selected once, when the search
+// returns. Every probe reuses one server heap. Saturated probes do
 // no percentile work, and an unaudited probe offered at or above
 // capacity is not simulated at all: saturated's first clause already
 // decides it.
@@ -176,8 +181,10 @@ type prober struct {
 	cfg  Config // Requests and Warmup hold their defaults
 	peak float64
 	chk  audit.Checker
-	// cols is nil until the first simulated probe draws it.
-	cols *columns
+	// cols is empty until the first simulated probe draws it. Every
+	// probe reuses the server heap free.
+	cols columns
+	free serverHeap
 	// kept holds the stable probe's latencies when keptLat is set;
 	// spare receives the next probe's.
 	kept, spare *[]float64
@@ -190,10 +197,10 @@ func newProber(cfg Config) prober {
 	return prober{cfg: cfg, peak: Capacity(cfg.Servers, cfg.Service), chk: audit.Resolve(cfg.Audit)}
 }
 
-// release returns the search's columns and buffers to their pools.
+// release returns the search's own columns and buffers to their pools.
 func (p *prober) release() {
-	if p.cols != nil {
-		columnsPool.Put(p.cols)
+	if p.cols.svc != nil {
+		p.cols.release()
 		latencyPool.Put(p.kept)
 		latencyPool.Put(p.spare)
 	}
@@ -211,11 +218,12 @@ func (p *prober) run(ctx context.Context, frac float64) (bool, error) {
 		// context still fails the probe, as it fails a sweep.
 		return true, ctx.Err()
 	}
-	if p.cols == nil {
-		p.cols = drawColumns(p.cfg)
-		p.kept, p.spare = getLatencyBuf(c.Requests), getLatencyBuf(c.Requests)
+	if p.cols.svc == nil {
+		p.cols = drawColumns(p.cfg, p.chk)
+		p.kept, p.spare = getFloats(&latencyPool, c.Requests), getFloats(&latencyPool, c.Requests)
+		p.free = make(serverHeap, c.Servers)
 	}
-	if err := sweep(ctx, c, p.chk, p.cols, p.spare); err != nil {
+	if err := sweep(ctx, c, p.chk, &p.cols, p.free, p.spare); err != nil {
 		return false, err
 	}
 	if p.chk != nil {

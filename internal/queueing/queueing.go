@@ -17,8 +17,13 @@
 // (CurveContext, TrialsContext) fan out through the shared evaluation
 // engine with deterministic, index-slotted results. KneeSearch draws
 // its random columns once and shares them across its probes (knee.go).
-// The scalar per-request loop the batched loop is proven against is a
-// test-only oracle (internal/oracle).
+// The draws that depend on the seed alone, the unit arrival gaps and
+// the normals behind a log-normal service column, are also shared
+// across unaudited searches through one bounded, process-wide cache;
+// each search computes only its own service column, and an audited
+// search draws everything itself and checks the shared entry against
+// it (batch.go). The scalar per-request loop the batched loop is
+// proven against is a test-only oracle (internal/oracle).
 package queueing
 
 import (
@@ -172,9 +177,9 @@ func (h serverHeap) siftDown(i int) {
 // stored by pointer so Put itself does not allocate a slice header.
 var latencyPool sync.Pool
 
-// getLatencyBuf returns an empty buffer with capacity at least n.
-func getLatencyBuf(n int) *[]float64 {
-	if p, _ := latencyPool.Get().(*[]float64); p != nil {
+// getFloats returns an empty buffer from pool with capacity at least n.
+func getFloats(pool *sync.Pool, n int) *[]float64 {
+	if p, _ := pool.Get().(*[]float64); p != nil {
 		if cap(*p) >= n {
 			*p = (*p)[:0]
 			return p

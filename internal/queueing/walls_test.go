@@ -164,6 +164,7 @@ func TestKneeSearchMatchesPerProbeOracle35Seeds(t *testing.T) {
 	withoutAudit(t)
 	ctx := context.Background()
 	for _, audited := range []bool{false, true} {
+		hits0, misses0 := queueing.ColumnCacheStats()
 		for _, servers := range []int{8, 96} {
 			for si, svc := range kneeWallShapes {
 				for seed := uint64(1); seed <= seeds; seed++ {
@@ -192,6 +193,65 @@ func TestKneeSearchMatchesPerProbeOracle35Seeds(t *testing.T) {
 				}
 			}
 		}
+		// Unaudited log-normal searches read the shared columns; audited
+		// ones never do.
+		hits, misses := queueing.ColumnCacheStats()
+		if shared := hits - hits0 + misses - misses0; audited != (shared == 0) {
+			t.Errorf("audited=%v: %d shared-column lookups", audited, shared)
+		}
+	}
+}
+
+// TestKneeSearchSharedColumnsMatchOracle35Seeds is the shared-column
+// wall: searches with different service means and CVs on one seed
+// share its draws, from a cold cache and again after the seed's entry
+// was evicted. Each must equal the per-probe oracle's Knee, and each
+// seed must fill its entry exactly once per pass.
+func TestKneeSearchSharedColumnsMatchOracle35Seeds(t *testing.T) {
+	seeds := uint64(35)
+	if testing.Short() || raceEnabled {
+		seeds = 5
+	}
+	withoutAudit(t)
+	ctx := context.Background()
+	services := []queueing.ServiceDist{
+		logNormal(0.002, 1.2), logNormal(0.004, 1.2), logNormal(0.004, 0.6), logNormal(0.011, 1.5),
+	}
+	search := func(cfg queueing.Config) queueing.Knee {
+		k, err := queueing.KneeSearch(ctx, cfg, 0.5, 1.3, 0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	for seed := uint64(1); seed <= seeds; seed++ {
+		// Seeds no other test uses, so the first pass starts cold.
+		base := queueing.Config{Servers: 8, Requests: 5000, Seed: 0x5a4e0000 + seed}
+		for _, pass := range []string{"cold", "evicted"} {
+			_, misses0 := queueing.ColumnCacheStats()
+			for si, svc := range services {
+				cfg := base
+				cfg.Service = svc
+				got := search(cfg)
+				want, err := oracle.KneeSearch(ctx, cfg, 0.5, 1.3, 0.02)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameKnee(got, want, false) {
+					t.Fatalf("seed %d %s service %d:\n got %+v\nwant %+v", seed, pass, si, got, want)
+				}
+			}
+			if _, misses := queueing.ColumnCacheStats(); misses-misses0 != 1 {
+				t.Fatalf("seed %d %s: %d shared-column fills, want 1", seed, pass, misses-misses0)
+			}
+			// Evict the seed's entry: fill the cache with other seeds.
+			for i := 0; i < queueing.SharedColumnEntries; i++ {
+				cfg := base
+				cfg.Seed = 0x5a4f0000 + seed*queueing.SharedColumnEntries + uint64(i)
+				cfg.Service = services[0]
+				search(cfg)
+			}
+		}
 	}
 }
 
@@ -209,10 +269,12 @@ func TestKneeSearchNonPositiveCapacityErrors(t *testing.T) {
 }
 
 // TestKneeSearchColumnsFromPool pins that a steady-state knee search
-// takes its random columns and both latency buffers from their pools.
-// What it does allocate is one server heap per simulated probe plus
-// the column draw's RNG and prepared sampler; fresh columns would add
-// three allocations per search, fresh latency buffers two each.
+// takes its service column and both latency buffers from their pools,
+// and its arrival gaps and normals from the shared column cache. What
+// it does allocate is constant however many probes it simulates: the
+// prepared sampler, the shared-cache key and one server heap. A fresh
+// draw would add its RNG, fresh columns one allocation each, fresh
+// latency buffers two, and a heap per probe one each.
 func TestKneeSearchColumnsFromPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops items at random")
@@ -220,14 +282,18 @@ func TestKneeSearchColumnsFromPool(t *testing.T) {
 	withoutAudit(t)
 	cfg := queueing.Config{Servers: 8, Service: logNormal(0.004, 1.5), Requests: 5000, Seed: 3}
 	var k queueing.Knee
+	hits0, _ := queueing.ColumnCacheStats()
 	avg := testing.AllocsPerRun(20, func() {
 		var err error
 		if k, err = queueing.KneeSearch(context.Background(), cfg, 0.5, 1.3, 0.02); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if want := float64(k.Evals + 2); avg > want {
-		t.Errorf("steady-state knee search allocates %.0f times for %d probes, want at most %.0f", avg, k.Evals, want)
+	if hits, _ := queueing.ColumnCacheStats(); hits-hits0 < 20 {
+		t.Errorf("%d shared-column hits over 21 searches, want at least 20", hits-hits0)
+	}
+	if avg > 3 {
+		t.Errorf("steady-state knee search allocates %.0f times for %d probes, want at most 3", avg, k.Evals)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/greensku/gsf/internal/audit"
 	"github.com/greensku/gsf/internal/design"
 	"github.com/greensku/gsf/internal/hw"
 	"github.com/greensku/gsf/internal/server/api"
@@ -82,6 +83,41 @@ func TestDesignBuffered(t *testing.T) {
 	}
 	if w.Body.String() != w2.Body.String() {
 		t.Error("replayed design request drifted from the first reply")
+	}
+}
+
+// TestMetricsExportMemoCounters pins the SLO-memo and shared
+// knee-search column counters on /metrics: one unaudited /v1/design
+// request looks up both, so each family's hits plus misses must grow.
+// (An audited search draws its own columns and leaves the column
+// counters alone, so the test clears the package's default checker.)
+func TestMetricsExportMemoCounters(t *testing.T) {
+	prev := audit.Default()
+	audit.SetDefault(nil)
+	t.Cleanup(func() { audit.SetDefault(prev) })
+	s := newTestServer(t, tinyDesignConfig())
+	lookups := func() map[string]float64 {
+		samples := parseOpenMetrics(t, get(t, s.Handler(), "/metrics").Body.String())
+		out := map[string]float64{}
+		for _, family := range []string{"gsfd_slo_memo", "gsfd_knee_columns"} {
+			hits, okh := samples[family+"_hits"]
+			misses, okm := samples[family+"_misses"]
+			if !okh || !okm {
+				t.Fatalf("/metrics lacks %s_hits or %s_misses", family, family)
+			}
+			out[family] = hits + misses
+		}
+		return out
+	}
+	before := lookups()
+	if w := post(t, s.Handler(), "/v1/design", `{}`); w.Code != http.StatusOK {
+		t.Fatalf("design status %d: %s", w.Code, w.Body)
+	}
+	after := lookups()
+	for family, n := range after {
+		if n <= before[family] {
+			t.Errorf("%s lookups did not move on a design request: %v -> %v", family, before[family], n)
+		}
 	}
 }
 

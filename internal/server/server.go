@@ -33,6 +33,8 @@ import (
 	"github.com/greensku/gsf/internal/audit"
 	"github.com/greensku/gsf/internal/core"
 	"github.com/greensku/gsf/internal/design"
+	"github.com/greensku/gsf/internal/perf"
+	"github.com/greensku/gsf/internal/queueing"
 )
 
 // Config parameterises the service. The zero value is usable: every
@@ -222,6 +224,18 @@ func New(cfg Config) (*Server, error) {
 		"Compute requests currently being served.", func() float64 { return float64(s.inflight.Load()) })
 	s.metrics.RegisterGauge("gsfd_cache_entries",
 		"Entries in the result cache.", func() float64 { return float64(s.cache.len()) })
+	// The SLO memo and the shared knee-search columns are process-wide,
+	// so these count every lookup in the process since it started.
+	s.metrics.RegisterGauge("gsfd_slo_memo_hits",
+		"Process-wide SLO-memo hits.", func() float64 { h, _ := perf.SLOCacheStats(); return float64(h) })
+	s.metrics.RegisterGauge("gsfd_slo_memo_misses",
+		"Process-wide SLO-memo misses.", func() float64 { _, m := perf.SLOCacheStats(); return float64(m) })
+	s.metrics.RegisterGauge("gsfd_knee_columns_hits",
+		"Process-wide knee searches served shared random columns.",
+		func() float64 { h, _ := queueing.ColumnCacheStats(); return float64(h) })
+	s.metrics.RegisterGauge("gsfd_knee_columns_misses",
+		"Process-wide shared knee-search column fills.",
+		func() float64 { _, m := queueing.ColumnCacheStats(); return float64(m) })
 	if cfg.Audit != nil {
 		s.metrics.RegisterGauge("gsfd_audit_violations",
 			"Invariant violations recorded since start (0 when auditing is off).",

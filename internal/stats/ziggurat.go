@@ -206,8 +206,14 @@ func (r *RNG) FastNormal(mean, stddev float64) float64 {
 // FastLogNormal returns a log-normally distributed value parameterised
 // by the mean and stddev of the underlying normal, via the ziggurat.
 func (r *RNG) FastLogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.fastNormUnit())
+	return LogNormalAt(mu, sigma, r.fastNormUnit())
 }
+
+// LogNormalAt maps a standard normal draw y to the log-normal value
+// exp(mu + sigma*y). Every fast log-normal draw in this package goes
+// through it, so a caller that keeps the normals (see FillExpNormal)
+// and exponentiates them later gets the fillers' values bit for bit.
+func LogNormalAt(mu, sigma, y float64) float64 { return math.Exp(mu + sigma*y) }
 
 // FillExp fills dst with exponential draws of the given mean — the
 // batched form of FastExp for bulk consumers (sample pre-generation,
@@ -235,13 +241,16 @@ func (r *RNG) FillNormal(dst []float64, mean, stddev float64) {
 // batched kernel bit-identical to the scalar one. The common ziggurat
 // case is written out inline; misses call the shared slow paths.
 
-// FillExpLogNormal fills gaps[i] with Exp(meanIA) draws and svc[i]
-// with LogNormal(mu, sigma) draws, interleaved per index in the exact
-// draw order of alternating FastExp / FastLogNormal calls.
-func (r *RNG) FillExpLogNormal(gaps []float64, meanIA float64, svc []float64, mu, sigma float64) {
+// FillExpNormal fills gaps[i] with Exp(1) draws and norms[i] with
+// standard normal draws, interleaved per index in FillExpLogNormal's
+// exact word order. These are the draws that depend on the seed alone:
+// FillExpLogNormal(gaps, meanIA, svc, mu, sigma) is this fill followed
+// by gaps[i]*meanIA and svc[i] = LogNormalAt(mu, sigma, norms[i]), so
+// one fill serves every (meanIA, mu, sigma) on the same stream.
+func (r *RNG) FillExpNormal(gaps, norms []float64) {
 	n := len(gaps)
-	if len(svc) < n {
-		n = len(svc)
+	if len(norms) < n {
+		n = len(norms)
 	}
 	for k := 0; k < n; k++ {
 		z := r.Uint64()
@@ -251,7 +260,7 @@ func (r *RNG) FillExpLogNormal(gaps []float64, meanIA float64, svc []float64, mu
 		if u >= zigExpRatio[i] {
 			x = r.fastExpSlow(i, x)
 		}
-		gaps[k] = meanIA * x
+		gaps[k] = x
 
 		z = r.Uint64()
 		j := int(z & (zigNormLayers - 1))
@@ -260,7 +269,19 @@ func (r *RNG) FillExpLogNormal(gaps []float64, meanIA float64, svc []float64, mu
 		if math.Abs(v) >= zigNormRatio[j] {
 			y = r.fastNormSlow(j, v, y)
 		}
-		svc[k] = math.Exp(mu + sigma*y)
+		norms[k] = y
+	}
+}
+
+// FillExpLogNormal fills gaps[i] with Exp(meanIA) draws and svc[i]
+// with LogNormal(mu, sigma) draws, interleaved per index in the exact
+// draw order of alternating FastExp / FastLogNormal calls. It is
+// FillExpNormal rescaled in place.
+func (r *RNG) FillExpLogNormal(gaps []float64, meanIA float64, svc []float64, mu, sigma float64) {
+	r.FillExpNormal(gaps, svc)
+	for k := range min(len(gaps), len(svc)) {
+		gaps[k] = meanIA * gaps[k]
+		svc[k] = LogNormalAt(mu, sigma, svc[k])
 	}
 }
 

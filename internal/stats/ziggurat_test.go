@@ -184,3 +184,39 @@ func BenchmarkNormalZiggurat(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestSharedNormalsMatchFillExpLogNormal pins the path a knee search
+// takes through draws shared across searches: FillExpNormal's unit
+// gaps and normals, exponentiated by LogNormalAt, equal both
+// FillExpLogNormal filled batch by batch, as the event loop fills it,
+// and the scalar FastExp / FastLogNormal sequence, bit for bit. It
+// covers 35 seeds, the service CVs the paper's apps span, and lengths
+// on both sides of the event loop's 4096-event batch.
+func TestSharedNormalsMatchFillExpLogNormal(t *testing.T) {
+	const batch = 4096
+	for seed := uint64(1); seed <= 35; seed++ {
+		for _, n := range []int{batch - 1, batch, batch + 1, 3*batch + 17} {
+			unit, norm := make([]float64, n), make([]float64, n)
+			NewRNG(seed).FillExpNormal(unit, norm)
+			gaps, svc := make([]float64, n), make([]float64, n)
+			for _, cv := range []float64{0.6, 0.8, 1, 1.2, 1.5} {
+				sigma2 := math.Log(1 + cv*cv)
+				mu, sigma := math.Log(0.004)-sigma2/2, math.Sqrt(sigma2)
+				r := NewRNG(seed)
+				for base := 0; base < n; base += batch {
+					end := min(base+batch, n)
+					r.FillExpLogNormal(gaps[base:end], 1, svc[base:end], mu, sigma)
+				}
+				s := NewRNG(seed)
+				for i := 0; i < n; i++ {
+					wantGap, wantSvc := s.FastExp(1), s.FastLogNormal(mu, sigma)
+					got := LogNormalAt(mu, sigma, norm[i])
+					if unit[i] != gaps[i] || unit[i] != wantGap || got != svc[i] || got != wantSvc {
+						t.Fatalf("seed %d n %d cv %v request %d: shared (%v, %v), FillExpLogNormal (%v, %v), scalar (%v, %v)",
+							seed, n, cv, i, unit[i], got, gaps[i], svc[i], wantGap, wantSvc)
+					}
+				}
+			}
+		}
+	}
+}
