@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/greensku/gsf/internal/alloc"
+	"github.com/greensku/gsf/internal/core"
 	"github.com/greensku/gsf/internal/experiments"
 	"github.com/greensku/gsf/internal/hw"
 	"github.com/greensku/gsf/internal/oracle"
@@ -33,9 +34,9 @@ func benchConfig(n int) alloc.Config {
 	base := hw.BaselineGen3()
 	green := hw.GreenSKUFull()
 	return alloc.Config{
-		Base:   alloc.ServerClass{Name: base.Name, Cores: base.Cores(), Memory: base.TotalDRAMGB(), LocalMemory: base.LocalDRAMGB()},
+		Base:   core.ClassOf(base, false),
 		NBase:  n,
-		Green:  alloc.ServerClass{Name: green.Name, Cores: green.Cores(), Memory: green.TotalDRAMGB(), LocalMemory: green.LocalDRAMGB(), Green: true},
+		Green:  core.ClassOf(green, true),
 		NGreen: n,
 		Policy: alloc.BestFit, PreferNonEmpty: true,
 	}

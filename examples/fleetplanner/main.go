@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/greensku/gsf/internal/alloc"
 	"github.com/greensku/gsf/internal/buffer"
 	"github.com/greensku/gsf/internal/carbon"
 	"github.com/greensku/gsf/internal/carbondata"
@@ -99,8 +98,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseIn := cluster.SavingsInput{Class: classOf(hw.BaselineGen3(), false), PerCore: ev.PerCoreBase}
-	greenIn := cluster.SavingsInput{Class: classOf(best.SKU, true), PerCore: ev.PerCoreGreen}
+	baseIn := cluster.SavingsInput{Class: core.ClassOf(hw.BaselineGen3(), false), PerCore: ev.PerCoreBase}
+	greenIn := cluster.SavingsInput{Class: core.ClassOf(best.SKU, true), PerCore: ev.PerCoreGreen}
 	fmt.Printf("[buffer]  %.0f%% buffer (%d baseline servers) keeps stockouts <2%%; buffered savings %.1f%%\n",
 		minBuf*100, buf.BufferServers, policy.Savings(buf, baseIn, greenIn)*100)
 }
@@ -127,14 +126,4 @@ func evaluateFleet(ctx context.Context, fw *core.Framework, skus []hw.SKU, workl
 		evs[i] = r.Eval
 	}
 	return evs, nil
-}
-
-func classOf(sku hw.SKU, green bool) alloc.ServerClass {
-	return alloc.ServerClass{
-		Name:        sku.Name,
-		Cores:       sku.Cores(),
-		Memory:      sku.TotalDRAMGB(),
-		LocalMemory: sku.LocalDRAMGB(),
-		Green:       green,
-	}
 }

@@ -23,9 +23,9 @@ package alloc
 //     index of its (cores, mem) tie group. The occupancy split makes
 //     PreferNonEmpty a query on one root with fallback to the other.
 //   - A segment tree over server indices holding per-class maxima of
-//     (coresFree, memFree) plus a count of empty servers. FirstFit is
-//     the leftmost feasible leaf; full-node placement is the leftmost
-//     feasible (or, for multi-pool, leftmost unconditional) empty leaf.
+//     (coresFree, memFree). FirstFit is the leftmost feasible leaf;
+//     full-node placement, in every pool, is the leftmost feasible
+//     empty leaf.
 //
 // ixCore is the pure structure: it knows servers only as ids with
 // (coresFree, memFree, occupancy) keys, which the columnar fleet

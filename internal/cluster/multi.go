@@ -30,14 +30,6 @@ type MultiMix struct {
 	NGreens      []int // aligned with Greens
 }
 
-func (s *MultiSizer) maxServers(tr trace.Trace) int {
-	if s.MaxServers > 0 {
-		return s.MaxServers
-	}
-	single := &Sizer{Base: s.Base}
-	return single.maxServers(tr)
-}
-
 func (s *MultiSizer) hosts(ctx context.Context, tr trace.Trace, nBase int, nGreens []int) (bool, error) {
 	total := nBase
 	pools := make([]alloc.Pool, len(s.Greens))
@@ -78,13 +70,15 @@ func (s *MultiSizer) SizeContext(ctx context.Context, tr trace.Trace) (MultiMix,
 	if err := tr.Validate(); err != nil {
 		return m, err
 	}
+	// One bound serves every search: the baseline-only size and each
+	// pool's cap.
 	single := &Sizer{Base: s.Base, Policy: s.Policy, Decide: alloc.AdoptNone, MaxServers: s.MaxServers}
-	n0, err := single.RightSizeBaselineContext(ctx, tr)
+	cap := single.maxServers(tr)
+	n0, err := single.rightSizeBaseline(ctx, tr, cap)
 	if err != nil {
 		return m, err
 	}
 	m.BaselineOnly = n0
-	cap := s.maxServers(tr)
 	abundant := make([]int, len(s.Greens))
 	for i := range abundant {
 		abundant[i] = cap
@@ -111,14 +105,9 @@ func (s *MultiSizer) SizeContext(ctx context.Context, tr trace.Trace) (MultiMix,
 			return m, err
 		}
 	}
-	// The sequential minimisation can strand capacity: verify.
-	ok, err := s.hosts(ctx, tr, m.NBase, m.NGreens)
-	if err != nil {
-		return m, err
-	}
-	if !ok {
-		return m, fmt.Errorf("cluster: multi-SKU sizing failed verification")
-	}
+	// No closing replay: searchMin only returns a size it tested true,
+	// and the last pool's search tested exactly (NBase, NGreens), every
+	// other count already final.
 	return m, nil
 }
 

@@ -86,8 +86,8 @@ func TestAuditEvaluationCatchesBadPipelineOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := classOf(in.Baseline, false)
-	green := classOf(in.Green, true)
+	base := ClassOf(in.Baseline, false)
+	green := ClassOf(in.Green, true)
 
 	rec := audit.NewRecorder()
 	bad := ev

@@ -261,8 +261,8 @@ func (f *Framework) EvaluateContext(ctx context.Context, in Input) (Evaluation, 
 	}
 
 	// VM allocation + cluster sizing.
-	baseClass := classOf(in.Baseline, false)
-	greenClass := classOf(in.Green, true)
+	baseClass := ClassOf(in.Baseline, false)
+	greenClass := ClassOf(in.Green, true)
 	sizer := &cluster.Sizer{
 		Base:   baseClass,
 		Green:  greenClass,
@@ -335,14 +335,10 @@ func (f *Framework) auditEvaluation(chk audit.Checker, in Input, baseClass, gree
 	}
 }
 
-func classOf(sku hw.SKU, green bool) alloc.ServerClass {
-	return alloc.ServerClass{
-		Name:        sku.Name,
-		Cores:       sku.Cores(),
-		Memory:      sku.TotalDRAMGB(),
-		LocalMemory: sku.LocalDRAMGB(),
-		Green:       green,
-	}
+// ClassOf is the allocator's view of a SKU: its name, cores, and
+// total and local DRAM.
+func ClassOf(sku hw.SKU, green bool) alloc.ServerClass {
+	return alloc.ClassOf(sku.Name, sku.Cores(), sku.TotalDRAMGB(), sku.LocalDRAMGB(), green)
 }
 
 // SweepCI evaluates the design across carbon intensities, reusing the

@@ -149,51 +149,88 @@ type Result struct {
 	Verdicts []Verdict
 }
 
-// Search generates, evaluates, and ranks the design space. Candidate
-// evaluation fans out through the engine; insertion happens in
-// enumeration order, and because the dominance order is a strict
-// partial order the resulting frontier does not depend on that order
-// anyway — the serial and parallel runs are byte-identical.
-func Search(ctx context.Context, opt Options) (Result, error) {
+// Run is one design search split into the steps a streaming caller
+// needs: NewRun enumerates, Evaluate scores one candidate, and Rank
+// builds the frontier and classifies the extras. Search is the three
+// in sequence; gsfd's /v1/design calls them one by one so it can cache
+// and stream each candidate.
+type Run struct {
+	// SKUs are the candidates in enumeration order, Options.Extra
+	// last; Evaluate and Rank index into it.
+	SKUs []hw.SKU
+	opt  Options
+	ev   *Evaluator
+}
+
+// NewRun resolves the dataset, builds the carbon model and enumerates
+// the candidates. It evaluates nothing, so a caller can bound
+// len(SKUs) first; an empty SKUs is not an error here.
+func NewRun(opt Options) (*Run, error) {
 	data, ok := carbondata.Datasets()[opt.Dataset]
 	if !ok {
-		return Result{}, fmt.Errorf("design: unknown dataset %q", opt.Dataset)
+		return nil, fmt.Errorf("design: unknown dataset %q", opt.Dataset)
 	}
 	m, err := carbon.New(data)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	m.Audit = opt.Audit
 	skus, err := Candidates(opt.Space, opt.Constraints, m)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	skus = append(skus, opt.Extra...)
-	if len(skus) == 0 {
-		return Result{}, fmt.Errorf("design: no feasible candidates in the space")
-	}
+	return &Run{SKUs: append(skus, opt.Extra...), opt: opt, ev: NewEvaluator(m, opt.CI, opt.Perf)}, nil
+}
 
-	ev := NewEvaluator(m, opt.CI, opt.Perf)
-	results := engine.Map(ctx, engine.Workers(opt.Workers), len(skus), func(ctx context.Context, i int) (Point, error) {
-		return ev.Evaluate(ctx, skus[i])
-	})
-	pts, err := engine.Collect(results)
-	if err != nil {
-		return Result{}, err
-	}
+// Evaluate scores candidate i on the run's one shared evaluator, whose
+// memos make the fan-out cheap. It is safe for concurrent use.
+func (r *Run) Evaluate(ctx context.Context, i int) (Point, error) {
+	return r.ev.Evaluate(ctx, r.SKUs[i])
+}
 
-	f := NewFrontier(opt.Epsilon)
-	for _, p := range pts {
-		f.Insert(p)
+// Rank inserts the evaluated points into the frontier, classifies the
+// evaluated extras, and audits the frontier with CheckFrontier under
+// Options.Audit. pts[i] is SKUs[i]'s point; ok[i] false leaves it out
+// (a candidate that failed to evaluate), and a nil ok takes them all.
+// Insertion runs in index order, and because the dominance order is a
+// strict partial order the frontier does not depend on that order
+// anyway.
+func (r *Run) Rank(ctx context.Context, pts []Point, ok []bool) Result {
+	f := NewFrontier(r.opt.Epsilon)
+	for i, p := range pts {
+		if ok == nil || ok[i] {
+			f.Insert(p)
+		}
 	}
-	out := Result{Dataset: opt.Dataset, CI: ev.CI, Candidates: len(skus), Frontier: f.Points()}
-	for _, p := range pts[len(pts)-len(opt.Extra):] {
-		v := Verdict{Point: p, DominatedBy: f.DominatedBy(p)}
+	out := Result{Dataset: r.opt.Dataset, CI: r.ev.CI, Candidates: len(r.SKUs), Frontier: f.Points()}
+	for i := len(r.SKUs) - len(r.opt.Extra); i < len(pts); i++ {
+		if ok != nil && !ok[i] {
+			continue
+		}
+		v := Verdict{Point: pts[i], DominatedBy: f.DominatedBy(pts[i])}
 		v.OnFrontier = v.DominatedBy == ""
 		out.Verdicts = append(out.Verdicts, v)
 	}
-	CheckFrontier(ctx, audit.Resolve(opt.Audit), ev, f)
-	return out, nil
+	CheckFrontier(ctx, audit.Resolve(r.opt.Audit), r.ev, f)
+	return out
+}
+
+// Search generates, evaluates, and ranks the design space: NewRun,
+// every candidate's Evaluate fanned out through the engine, then Rank.
+// The serial and parallel runs are byte-identical.
+func Search(ctx context.Context, opt Options) (Result, error) {
+	run, err := NewRun(opt)
+	if err != nil {
+		return Result{}, err
+	}
+	if len(run.SKUs) == 0 {
+		return Result{}, fmt.Errorf("design: no feasible candidates in the space")
+	}
+	pts, err := engine.Collect(engine.Map(ctx, engine.Workers(opt.Workers), len(run.SKUs), run.Evaluate))
+	if err != nil {
+		return Result{}, err
+	}
+	return run.Rank(ctx, pts, nil), nil
 }
 
 // CheckFrontier audits a finished frontier: every point's objectives
@@ -233,7 +270,9 @@ func CheckFrontier(ctx context.Context, c audit.Checker, ev *Evaluator, f *Front
 				"%s: stored %v cores/rack, carbon model says %d", p.SKU.Name, p.Obj.CoresPerRack, rack.Cores)
 		}
 		score, err := fresh.PerfScore(ctx, p.SKU)
-		if err != nil {
+		if err != nil && ctx.Err() != nil {
+			break // a cancelled recompute proves nothing either way
+		} else if err != nil {
 			audit.Failf(c, "design", "frontier-recompute", "%s: %v", p.SKU.Name, err)
 		} else if !audit.Close(score, p.Obj.PerfPerCore, audit.CarbonTol) {
 			audit.Failf(c, "design", "frontier-perf",

@@ -114,6 +114,64 @@ func TestSearchVerdictsClassifyPaperSKUs(t *testing.T) {
 	}
 }
 
+// TestRunRankMasksUnevaluated drives Search's steps by hand: Rank over
+// every evaluated point equals Search, and a false ok entry leaves that
+// candidate out of the frontier and, for an extra, out of the verdicts.
+func TestRunRankMasksUnevaluated(t *testing.T) {
+	ctx := context.Background()
+	opt := tinyOptions()
+	opt.Extra = hw.TableIVConfigs()
+	want, err := Search(ctx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := NewRun(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := make([]Point, len(run.SKUs))
+	for i := range pts {
+		if pts[i], err = run.Evaluate(ctx, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := run.Rank(ctx, pts, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("NewRun+Evaluate+Rank differs from Search:\n got %+v\nwant %+v", got, want)
+	}
+
+	// Drop the first generated candidate on the frontier and the first
+	// extra.
+	extra := len(pts) - len(opt.Extra)
+	ok := make([]bool, len(pts))
+	for i := range ok {
+		ok[i] = true
+	}
+	ok[extra] = false
+	dropped := ""
+	for i, sku := range run.SKUs[:extra] {
+		for _, p := range want.Frontier {
+			if dropped == "" && p.SKU.Name == sku.Name {
+				ok[i], dropped = false, sku.Name
+			}
+		}
+	}
+	if dropped == "" {
+		t.Fatal("no generated candidate on the frontier")
+	}
+	got := run.Rank(ctx, pts, ok)
+	for _, p := range got.Frontier {
+		if p.SKU.Name == dropped {
+			t.Errorf("unevaluated %s is on the frontier", dropped)
+		}
+	}
+	if len(got.Verdicts) != len(want.Verdicts)-1 || got.Verdicts[0].Point.SKU.Name != want.Verdicts[1].Point.SKU.Name {
+		t.Errorf("verdicts %+v, want all but the first of %+v", got.Verdicts, want.Verdicts)
+	}
+	if got.Candidates != want.Candidates {
+		t.Errorf("candidates %d, want %d (every enumerated SKU counts)", got.Candidates, want.Candidates)
+	}
+}
+
 func TestSearchRejectsUndeployableSpace(t *testing.T) {
 	// A rack power cap below one server's draw leaves every design
 	// fitting zero servers per rack: Candidates must filter them all
@@ -172,6 +230,30 @@ func TestCheckFrontierCanary(t *testing.T) {
 		if counts[want] == 0 {
 			t.Errorf("mutated frontier point did not trip %s (counts: %v)", want, counts)
 		}
+	}
+}
+
+// TestCheckFrontierCancelledRecordsNothing audits a clean frontier
+// under a cancelled context, as a stream whose client went away does:
+// the recompute cannot finish, and that is not a violation.
+func TestCheckFrontierCancelledRecordsNothing(t *testing.T) {
+	opt := tinyOptions()
+	run, err := NewRun(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := run.Evaluate(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFrontier(DefaultEpsilon())
+	f.Insert(p)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := audit.NewRecorder()
+	CheckFrontier(ctx, rec, run.ev, f)
+	if n := rec.Count(); n != 0 {
+		t.Fatalf("cancelled audit recorded %d violations: %v", n, rec.Violations())
 	}
 }
 

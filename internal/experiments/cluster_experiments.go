@@ -192,8 +192,8 @@ func NewSizerContext(ctx context.Context, dataset string, green hw.SKU) (*cluste
 	}
 	base := hw.BaselineGen3()
 	return &cluster.Sizer{
-		Base:   alloc.ServerClass{Name: base.Name, Cores: base.Cores(), Memory: base.TotalDRAMGB(), LocalMemory: base.LocalDRAMGB()},
-		Green:  alloc.ServerClass{Name: green.Name, Cores: green.Cores(), Memory: green.TotalDRAMGB(), LocalMemory: green.LocalDRAMGB(), Green: true},
+		Base:   core.ClassOf(base, false),
+		Green:  core.ClassOf(green, true),
 		Policy: alloc.BestFit,
 		Decide: table.Decider(),
 	}, nil

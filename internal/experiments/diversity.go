@@ -18,6 +18,7 @@ import (
 	"github.com/greensku/gsf/internal/carbon"
 	"github.com/greensku/gsf/internal/carbondata"
 	"github.com/greensku/gsf/internal/cluster"
+	"github.com/greensku/gsf/internal/core"
 	"github.com/greensku/gsf/internal/engine"
 	"github.com/greensku/gsf/internal/hw"
 	"github.com/greensku/gsf/internal/perf"
@@ -87,11 +88,8 @@ func DiversityContext(ctx context.Context) (DiversityResult, error) {
 		return out, err
 	}
 
-	classOf := func(sku hw.SKU, green bool) alloc.ServerClass {
-		return alloc.ServerClass{Name: sku.Name, Cores: sku.Cores(), Memory: sku.TotalDRAMGB(), LocalMemory: sku.LocalDRAMGB(), Green: green}
-	}
-	baseClass := classOf(base, false)
-	greenClasses := []alloc.ServerClass{classOf(full, true), classOf(eff, true)}
+	baseClass := core.ClassOf(base, false)
+	greenClasses := []alloc.ServerClass{core.ClassOf(full, true), core.ClassOf(eff, true)}
 
 	// (a) single-SKU cluster: GreenSKU-Full only.
 	single := &cluster.Sizer{Base: baseClass, Green: greenClasses[0], Policy: alloc.BestFit, Decide: tables[0].Decider()}

@@ -82,6 +82,16 @@ func itemFailure(err error) (*api.Error, int) {
 	return &e, httpStatus(err)
 }
 
+// folded is an engine result in the in-band shape: a job cancelled
+// before dispatch or a panic in the item is folded in like any other
+// per-item failure.
+func folded(res engine.Result[api.BatchResult]) api.BatchResult {
+	if res.Err != nil {
+		return itemResult(nil, false, res.Err)
+	}
+	return res.Value
+}
+
 // itemResult folds one item outcome into the in-band result shape.
 func itemResult(body []byte, cached bool, err error) api.BatchResult {
 	if err != nil {
@@ -147,32 +157,26 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // order when the client negotiated a streaming content type, buffered
 // in request order otherwise.
 func (s *Server) serveItems(w http.ResponseWriter, r *http.Request, items []api.BatchItem, sweep bool) {
+	n := len(items)
+	item := func(ctx context.Context, i int) (api.BatchResult, error) {
+		key, fn, err := s.itemJob(items[i])
+		if err != nil {
+			return itemResult(nil, false, err), nil
+		}
+		body, cached, err := s.computeItem(ctx, r, items[i], key, fn)
+		return itemResult(body, cached, err), nil
+	}
 	if mode := streamMode(r); mode != "" {
-		s.streamItems(w, r, items, mode)
+		s.stream(w, r, mode, n, item, func(_ context.Context, errs int) any {
+			return api.StreamDone{Done: true, Items: n, Errors: errs}
+		})
 		return
 	}
-	n := len(items)
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	results := engine.Map(ctx, s.cfg.Workers, n,
-		func(ctx context.Context, i int) (api.BatchResult, error) {
-			key, fn, err := s.itemJob(items[i])
-			if err != nil {
-				return itemResult(nil, false, err), nil
-			}
-			body, cached, err := s.computeItem(ctx, r, items[i], key, fn)
-			return itemResult(body, cached, err), nil
-		})
-
 	out := make([]api.BatchResult, n)
-	for i, res := range results {
-		if res.Err != nil {
-			// Cancellation before dispatch or a panic in the item; fold
-			// it in-band like any other per-item failure.
-			out[i] = itemResult(nil, false, res.Err)
-			continue
-		}
-		out[i] = res.Value
+	for i, res := range engine.Map(ctx, s.cfg.Workers, n, item) {
+		out[i] = folded(res)
 	}
 	w.Header().Set(batchHeader, strconv.Itoa(n))
 	if sweep {

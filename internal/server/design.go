@@ -1,11 +1,14 @@
 package server
 
 // POST /v1/design: the SKU design-space search served online. The
-// server enumerates its configured candidate space (restricted by the
-// request's cpus/max_gpus filters), scores every feasible candidate on
-// carbon per core, portfolio performance per core, and rack density,
-// and answers with the Pareto frontier — plus, when include_paper is
-// set, a verdict for each of the paper's five Table IV configurations.
+// server restricts its configured candidate space by the request's
+// cpus/max_gpus filters and runs design.Search's steps over it
+// (design.NewRun, Run.Evaluate, Run.Rank): every feasible candidate is
+// scored on carbon per core, portfolio performance per core, and rack
+// density, and the reply is the Pareto frontier — plus, when
+// include_paper is set, a verdict for each of the paper's five Table
+// IV configurations. Rank audits the frontier (design.CheckFrontier)
+// whenever the server or the process has an audit checker.
 //
 // Buffered responses cache the whole reply under the canonical request
 // key and fail atomically on the first evaluation error. Streaming
@@ -26,8 +29,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"github.com/greensku/gsf/internal/carbon"
-	"github.com/greensku/gsf/internal/carbondata"
 	"github.com/greensku/gsf/internal/design"
 	"github.com/greensku/gsf/internal/engine"
 	"github.com/greensku/gsf/internal/hw"
@@ -56,21 +57,18 @@ func (s *Server) designPerf() design.PerfOptions {
 	return design.DefaultPerfOptions()
 }
 
-// designPlan is a validated design request: the enumerated candidates
-// (paper extras last) and the shared evaluator whose profile memo makes
-// the fan-out cheap — a space has far fewer distinct performance
-// profiles than candidates.
+// designPlan is a validated design request: the design package's run
+// over the filtered space (paper extras last), plus what the
+// per-candidate cache keys need.
 type designPlan struct {
-	d      *dataset
-	ci     units.CarbonIntensity
-	popt   design.PerfOptions
-	skus   []hw.SKU
-	extras int
-	ev     *design.Evaluator
+	run     *design.Run
+	dataset string
+	ci      units.CarbonIntensity
+	popt    design.PerfOptions
 }
 
-// newDesignPlan validates a request into its candidate list, shared
-// evaluator, and whole-request cache key.
+// newDesignPlan validates a request into its design run and
+// whole-request cache key.
 func (s *Server) newDesignPlan(req api.DesignRequest) (*designPlan, string, error) {
 	d, err := s.lookupDataset(req.Dataset)
 	if err != nil {
@@ -124,50 +122,43 @@ func (s *Server) newDesignPlan(req api.DesignRequest) (*designPlan, string, erro
 	}
 	sp.GPUOptions = gpus
 
-	data, ok := carbondata.Datasets()[d.name]
-	if !ok {
-		return nil, "", fmt.Errorf("server: dataset %q missing from the design catalog", d.name)
+	opt := design.Options{Space: sp, Constraints: design.DefaultConstraints(), Dataset: d.name,
+		CI: ci, Perf: s.designPerf(), Epsilon: design.DefaultEpsilon()}
+	if req.IncludePaper {
+		opt.Extra = hw.TableIVConfigs()
 	}
-	m, err := carbon.New(data)
-	if err != nil {
-		return nil, "", err
+	if s.cfg.Audit != nil {
+		opt.Audit = s.cfg.Audit
 	}
-	// A failure here is a dataset/space mismatch — the requested dataset
-	// has no carbon data for a CPU or GPU the space enumerates — which
-	// the client chose, not a server fault.
-	skus, err := design.Candidates(sp, design.DefaultConstraints(), m)
+	// Every server dataset is in the design catalog, so a failure here
+	// is a dataset/space mismatch — the requested dataset has no carbon
+	// data for a CPU or GPU the space enumerates — which the client
+	// chose, not a server fault.
+	run, err := design.NewRun(opt)
 	if err != nil {
 		return nil, "", fmt.Errorf("%w: design space is not evaluable under dataset %q: %v",
 			errBadRequest, d.name, err)
 	}
-	extras := 0
-	if req.IncludePaper {
-		paper := hw.TableIVConfigs()
-		skus = append(skus, paper...)
-		extras = len(paper)
-	}
-	if len(skus) == 0 {
+	if len(run.SKUs) == 0 {
 		return nil, "", fmt.Errorf("%w: the requested design space has no feasible candidates", errBadRequest)
 	}
-	if len(skus) > s.cfg.MaxDesignCandidates {
+	if len(run.SKUs) > s.cfg.MaxDesignCandidates {
 		return nil, "", &codedError{code: api.CodeBadInput, limit: s.cfg.MaxDesignCandidates,
 			err: fmt.Errorf("%w: design space of %d candidates exceeds the limit of %d (GET /v1/limits)",
-				errBadRequest, len(skus), s.cfg.MaxDesignCandidates)}
+				errBadRequest, len(run.SKUs), s.cfg.MaxDesignCandidates)}
 	}
-	popt := s.designPerf()
-	plan := &designPlan{d: d, ci: ci, popt: popt, skus: skus, extras: extras,
-		ev: design.NewEvaluator(m, ci, popt)}
+	plan := &designPlan{run: run, dataset: d.name, ci: ci, popt: opt.Perf}
 	// The filtered space stands for the cpus and max_gpus filters, so
 	// requests that select the same candidates share one entry.
 	key := cacheKey("design", d.name, fmtCI(ci), strconv.FormatBool(req.IncludePaper),
-		fmt.Sprintf("%#v|%#v", sp, popt))
+		fmt.Sprintf("%#v|%#v", sp, opt.Perf))
 	return plan, key, nil
 }
 
 // pointKey is one candidate's cache key: a candidate name encodes its
 // full design tuple, so (dataset, CI, name, protocol) pins the value.
 func (p *designPlan) pointKey(i int) string {
-	return cacheKey("designpt", p.d.name, fmtCI(p.ci), p.skus[i].Name,
+	return cacheKey("designpt", p.dataset, fmtCI(p.ci), p.run.SKUs[i].Name,
 		fmt.Sprintf("%#v", p.popt))
 }
 
@@ -182,49 +173,38 @@ func designPointOf(p design.Point) api.DesignPoint {
 	}
 }
 
-// frontierPoint rebuilds the dominance-core view of a wire point. The
-// frontier only reads the objectives and the name tie-break, and the
-// JSON float round-trip is exact, so this is bit-equivalent to the
-// evaluated point.
-func frontierPoint(p api.DesignPoint) design.Point {
-	return design.Point{SKU: hw.SKU{Name: p.SKU}, Obj: design.Objectives{
-		CarbonPerCore: p.CarbonPerCore,
-		PerfPerCore:   p.PerfPerCore,
-		CoresPerRack:  p.CoresPerRack,
-	}}
+func designVerdictOf(v design.Verdict) api.DesignVerdict {
+	return api.DesignVerdict{Point: designPointOf(v.Point), OnFrontier: v.OnFrontier, DominatedBy: v.DominatedBy}
+}
+
+// designResponse maps a ranked search to the buffered wire reply.
+func designResponse(res design.Result) api.DesignResponse {
+	resp := api.DesignResponse{Dataset: res.Dataset, CI: res.CI, Candidates: res.Candidates}
+	for _, p := range res.Frontier {
+		resp.Frontier = append(resp.Frontier, designPointOf(p))
+	}
+	for _, v := range res.Verdicts {
+		resp.Verdicts = append(resp.Verdicts, designVerdictOf(v))
+	}
+	return resp
 }
 
 // respond evaluates the whole plan and renders the buffered reply.
 func (p *designPlan) respond(ctx context.Context, workers int) ([]byte, error) {
-	pts, err := engine.Collect(engine.Map(ctx, workers, len(p.skus),
-		func(ctx context.Context, i int) (design.Point, error) {
-			return p.ev.Evaluate(ctx, p.skus[i])
-		}))
+	pts, err := engine.Collect(engine.Map(ctx, workers, len(p.run.SKUs), p.run.Evaluate))
 	if err != nil {
 		return nil, err
 	}
-	f := design.NewFrontier(design.DefaultEpsilon())
-	for _, pt := range pts {
-		f.Insert(pt)
-	}
+	res := p.run.Rank(ctx, pts, nil)
 	// The frontier rejects non-finite objectives, and an overflowing
 	// carbon intensity overflows every candidate alike — an empty
 	// frontier therefore means the request's inputs, not the server,
 	// produced no usable objective values.
-	if f.Len() == 0 {
+	if len(res.Frontier) == 0 {
 		return nil, fmt.Errorf("%w: no candidate evaluated to finite objectives at carbon intensity %s",
 			errBadRequest, fmtCI(p.ci))
 	}
-	resp := api.DesignResponse{Dataset: p.d.name, CI: p.ci, Candidates: len(p.skus)}
-	for _, fp := range f.Points() {
-		resp.Frontier = append(resp.Frontier, designPointOf(fp))
-	}
-	for _, pt := range pts[len(pts)-p.extras:] {
-		v := api.DesignVerdict{Point: designPointOf(pt), DominatedBy: f.DominatedBy(pt)}
-		v.OnFrontier = v.DominatedBy == ""
-		resp.Verdicts = append(resp.Verdicts, v)
-	}
-	return marshalBody(resp)
+	return marshalBody(designResponse(res))
 }
 
 func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
@@ -269,80 +249,48 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 
 // streamDesign serves a validated plan as a stream: one record per
 // candidate in completion order — each served through the per-candidate
-// cache — then the frontier summary.
+// cache — then the frontier summary. Each evaluated candidate's point
+// is rebuilt from its cached JSON, whose float round-trip is exact, so
+// Rank sees the same points the buffered reply does.
 func (s *Server) streamDesign(w http.ResponseWriter, r *http.Request, plan *designPlan, mode string) {
-	n := len(plan.skus)
-	if mode == "sse" {
-		w.Header().Set("Content-Type", api.ContentTypeSSE)
-		w.Header().Set("Cache-Control", "no-store")
-	} else {
-		w.Header().Set("Content-Type", api.ContentTypeNDJSON)
-	}
-	w.Header().Set(batchHeader, strconv.Itoa(n))
-	if s.ring != nil {
-		w.Header().Set(api.HeaderShard, "local")
-	}
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	errs := 0
-	pts := make([]api.DesignPoint, n)
+	n := len(plan.run.SKUs)
+	pts := make([]design.Point, n)
 	evaluated := make([]bool, n)
-	engine.Stream(ctx, s.cfg.Workers, n,
+	s.stream(w, r, mode, n,
 		func(ctx context.Context, i int) (api.BatchResult, error) {
 			body, cached, err := s.compute(ctx, plan.pointKey(i), func() ([]byte, error) {
-				pt, err := plan.ev.Evaluate(ctx, plan.skus[i])
+				pt, err := plan.run.Evaluate(ctx, i)
 				if err != nil {
 					return nil, err
 				}
 				return marshalBody(designPointOf(pt))
 			})
-			return itemResult(body, cached, err), nil
-		},
-		func(i int, res engine.Result[api.BatchResult]) {
-			out := res.Value
-			if res.Err != nil {
-				out = itemResult(nil, false, res.Err)
-			}
-			if out.Error != nil {
-				errs++
-			} else if json.Unmarshal(out.OK, &pts[i]) == nil {
+			res := itemResult(body, cached, err)
+			var dp api.DesignPoint
+			if res.Error == nil && json.Unmarshal(res.OK, &dp) == nil {
+				pts[i] = design.Point{SKU: plan.run.SKUs[i], Obj: design.Objectives{
+					CarbonPerCore: dp.CarbonPerCore, PerfPerCore: dp.PerfPerCore, CoresPerRack: dp.CoresPerRack}}
 				evaluated[i] = true
 			}
-			s.metrics.StreamedResults.inc()
-			writeStreamRecord(w, flusher, mode, "result", api.BatchStreamItem{
-				Index: i, OK: out.OK, Cached: out.Cached,
-				Error: out.Error, Status: out.Status,
-			})
+			return res, nil
+		},
+		func(ctx context.Context, errs int) any {
+			// The frontier over every candidate that evaluated; failed
+			// points are reported in-band above and simply absent here.
+			res := plan.run.Rank(ctx, pts, evaluated)
+			index := make(map[string]int, n)
+			for i, sku := range plan.run.SKUs {
+				if _, dup := index[sku.Name]; !dup {
+					index[sku.Name] = i
+				}
+			}
+			done := api.DesignDone{Done: true, Items: n, Errors: errs}
+			for _, fp := range res.Frontier {
+				done.Frontier = append(done.Frontier, index[fp.SKU.Name])
+			}
+			for _, v := range res.Verdicts {
+				done.Verdicts = append(done.Verdicts, designVerdictOf(v))
+			}
+			return done
 		})
-
-	// The frontier over every candidate that evaluated; failed points
-	// are reported in-band above and simply absent here.
-	f := design.NewFrontier(design.DefaultEpsilon())
-	for i := range pts {
-		if evaluated[i] {
-			f.Insert(frontierPoint(pts[i]))
-		}
-	}
-	index := make(map[string]int, n)
-	for i, sku := range plan.skus {
-		if _, dup := index[sku.Name]; !dup {
-			index[sku.Name] = i
-		}
-	}
-	done := api.DesignDone{Done: true, Items: n, Errors: errs}
-	for _, fp := range f.Points() {
-		done.Frontier = append(done.Frontier, index[fp.SKU.Name])
-	}
-	for i := n - plan.extras; i < n; i++ {
-		if !evaluated[i] {
-			continue
-		}
-		v := api.DesignVerdict{Point: pts[i], DominatedBy: f.DominatedBy(frontierPoint(pts[i]))}
-		v.OnFrontier = v.DominatedBy == ""
-		done.Verdicts = append(done.Verdicts, v)
-	}
-	writeStreamRecord(w, flusher, mode, "done", done)
 }

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -121,16 +123,15 @@ func TestMetricsExportMemoCounters(t *testing.T) {
 	}
 }
 
-func TestDesignStreamNDJSON(t *testing.T) {
-	cfg := tinyDesignConfig()
-	cfg.Workers = 1 // deterministic completion order for the assertions
-	s := newTestServer(t, cfg)
-
-	req := httptest.NewRequest(http.MethodPost, "/v1/design", strings.NewReader(`{"include_paper":true}`))
+// streamDesignNDJSON posts body to /v1/design as an NDJSON stream and
+// returns the result records, in stream order, and the done record.
+func streamDesignNDJSON(t *testing.T, h http.Handler, body string) ([]api.BatchStreamItem, *api.DesignDone) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/v1/design", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("Accept", api.ContentTypeNDJSON)
 	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, req)
+	h.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}
@@ -163,6 +164,29 @@ func TestDesignStreamNDJSON(t *testing.T) {
 	if done == nil {
 		t.Fatal("stream ended without a done record")
 	}
+	return results, done
+}
+
+// streamedPoints decodes each streamed record's design point by index.
+func streamedPoints(t *testing.T, results []api.BatchStreamItem) map[int]api.DesignPoint {
+	t.Helper()
+	points := make(map[int]api.DesignPoint, len(results))
+	for _, it := range results {
+		var p api.DesignPoint
+		if err := json.Unmarshal(it.OK, &p); err != nil {
+			t.Fatalf("record %d has no design point: %v", it.Index, err)
+		}
+		points[it.Index] = p
+	}
+	return points
+}
+
+func TestDesignStreamNDJSON(t *testing.T) {
+	cfg := tinyDesignConfig()
+	cfg.Workers = 1 // deterministic completion order for the assertions
+	s := newTestServer(t, cfg)
+
+	results, done := streamDesignNDJSON(t, s.Handler(), `{"include_paper":true}`)
 	if done.Items != len(results) {
 		t.Fatalf("done.items %d, %d records streamed", done.Items, len(results))
 	}
@@ -172,14 +196,7 @@ func TestDesignStreamNDJSON(t *testing.T) {
 	if len(done.Frontier) == 0 {
 		t.Fatal("done record carries no frontier")
 	}
-	points := make(map[int]api.DesignPoint, len(results))
-	for _, it := range results {
-		var p api.DesignPoint
-		if err := json.Unmarshal(it.OK, &p); err != nil {
-			t.Fatalf("record %d has no design point: %v", it.Index, err)
-		}
-		points[it.Index] = p
-	}
+	points := streamedPoints(t, results)
 	for _, idx := range done.Frontier {
 		if _, ok := points[idx]; !ok {
 			t.Errorf("frontier index %d has no streamed record", idx)
@@ -334,6 +351,120 @@ func TestDesignCPUFilterSharesCacheEntry(t *testing.T) {
 		}
 		if got := w.Header().Get(api.HeaderCache); got != want {
 			t.Errorf("%s: X-Cache %q, want %q", body, got, want)
+		}
+	}
+}
+
+// TestDesignMatchesSearch pins gsfd to the library search: for the tiny
+// space, with and without the paper's extras, the buffered /v1/design
+// body is design.Search's Result mapped to the wire, and the streamed
+// done record names the same frontier points and verdicts.
+func TestDesignMatchesSearch(t *testing.T) {
+	cfg := tinyDesignConfig()
+	s := newTestServer(t, cfg)
+	h := s.Handler()
+	for _, paper := range []bool{false, true} {
+		t.Run(fmt.Sprintf("include_paper=%v", paper), func(t *testing.T) {
+			opt := design.Options{Space: *cfg.DesignSpace, Constraints: design.DefaultConstraints(),
+				Dataset: "open-source", Perf: *cfg.DesignPerf, Epsilon: design.DefaultEpsilon()}
+			if paper {
+				opt.Extra = hw.TableIVConfigs()
+			}
+			res, err := design.Search(context.Background(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := marshalBody(designResponse(res))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// max_gpus 2 keeps the tiny space's L4 corner, so the served
+			// space is opt.Space unfiltered.
+			body := fmt.Sprintf(`{"max_gpus":2,"include_paper":%v}`, paper)
+			w := post(t, h, "/v1/design", body)
+			if w.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", w.Code, w.Body)
+			}
+			if got := w.Body.String(); got != string(want) {
+				t.Fatalf("buffered reply differs from design.Search:\n got %s\nwant %s", got, want)
+			}
+
+			results, done := streamDesignNDJSON(t, h, body)
+			if done.Items != res.Candidates || done.Errors != 0 {
+				t.Fatalf("done record %+v, want %d items and no errors", done, res.Candidates)
+			}
+			points := streamedPoints(t, results)
+			if len(done.Frontier) != len(res.Frontier) {
+				t.Fatalf("streamed frontier has %d points, design.Search %d", len(done.Frontier), len(res.Frontier))
+			}
+			for i, idx := range done.Frontier {
+				if got, want := points[idx], designPointOf(res.Frontier[i]); got != want {
+					t.Errorf("frontier[%d]: streamed %+v, design.Search %+v", i, got, want)
+				}
+			}
+			if len(done.Verdicts) != len(res.Verdicts) {
+				t.Fatalf("%d streamed verdicts, design.Search %d", len(done.Verdicts), len(res.Verdicts))
+			}
+			for i, v := range res.Verdicts {
+				if got, want := done.Verdicts[i], designVerdictOf(v); got != want {
+					t.Errorf("verdict[%d]: streamed %+v, design.Search %+v", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestDesignAuditChecksFrontier runs /v1/design on a server audited by
+// its own recorder. A buffered and a streamed request record nothing.
+// Then a canary poisons one candidate's cached point with objectives
+// that put it on the frontier: the streamed reply rebuilds that point
+// from the cache, and the frontier audit must flag all three drifted
+// objectives — proof that design.CheckFrontier runs on gsfd's path.
+func TestDesignAuditChecksFrontier(t *testing.T) {
+	cfg := tinyDesignConfig()
+	rec := audit.NewRecorder()
+	cfg.Audit = rec
+	s := newTestServer(t, cfg)
+	h := s.Handler()
+
+	if w := post(t, h, "/v1/design", `{"include_paper":true}`); w.Code != http.StatusOK {
+		t.Fatalf("buffered status %d: %s", w.Code, w.Body)
+	}
+	streamDesignNDJSON(t, h, `{"include_paper":true}`)
+	if n := rec.Count(); n != 0 {
+		t.Fatalf("audited design requests recorded %d violations: %v", n, rec.Violations())
+	}
+
+	plan, _, err := s.newDesignPlan(api.DesignRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := plan.pointKey(0)
+	cached, ok := s.cache.get(key)
+	if !ok {
+		t.Fatal("the stream left candidate 0 uncached")
+	}
+	var p api.DesignPoint
+	if err := json.Unmarshal(cached, &p); err != nil {
+		t.Fatal(err)
+	}
+	p.CarbonPerCore /= 2
+	p.PerfPerCore *= 2
+	p.CoresPerRack *= 2
+	poisoned, err := marshalBody(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cache.put(key, poisoned)
+
+	_, done := streamDesignNDJSON(t, h, `{}`)
+	if len(done.Frontier) == 0 || done.Frontier[0] != 0 {
+		t.Fatalf("poisoned candidate 0 did not lead the frontier: %v", done.Frontier)
+	}
+	counts := rec.Counts()
+	for _, inv := range []string{"design/frontier-carbon", "design/frontier-perf", "design/frontier-density"} {
+		if counts[inv] == 0 {
+			t.Errorf("poisoned frontier point did not trip %s (counts: %v)", inv, counts)
 		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 
 	"github.com/greensku/gsf/internal/alloc"
 	"github.com/greensku/gsf/internal/audit"
+	"github.com/greensku/gsf/internal/core"
 	"github.com/greensku/gsf/internal/server/api"
 	"github.com/greensku/gsf/internal/trace"
 )
@@ -127,9 +128,9 @@ func (s *Server) replayJob(req api.ReplayRequest) (string, func() ([]byte, error
 	}
 
 	cfg := alloc.Config{
-		Base:   alloc.ServerClass{Name: baseSKU.Name, Cores: baseSKU.Cores(), Memory: baseSKU.TotalDRAMGB(), LocalMemory: baseSKU.LocalDRAMGB()},
+		Base:   core.ClassOf(baseSKU, false),
 		NBase:  nBase,
-		Green:  alloc.ServerClass{Name: greenSKU.Name, Cores: greenSKU.Cores(), Memory: greenSKU.TotalDRAMGB(), LocalMemory: greenSKU.LocalDRAMGB(), Green: true},
+		Green:  core.ClassOf(greenSKU, true),
 		NGreen: nGreen,
 		Policy: pol, PreferNonEmpty: req.PreferNonEmpty,
 	}

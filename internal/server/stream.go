@@ -1,7 +1,7 @@
 package server
 
-// Streaming responses for sweep-sized requests. /v1/batch and
-// /v1/sweep negotiate a streaming format through the Accept header:
+// Streaming responses for sweep-sized requests. /v1/batch, /v1/sweep
+// and /v1/design negotiate a streaming format through the Accept header:
 //
 //	Accept: application/x-ndjson   one JSON object per line
 //	Accept: text/event-stream      Server-Sent Events
@@ -44,10 +44,15 @@ func streamMode(r *http.Request) string {
 	return ""
 }
 
-// streamItems serves a validated batch or sweep as a stream: results
-// are emitted in completion order with one flush per record.
-func (s *Server) streamItems(w http.ResponseWriter, r *http.Request, items []api.BatchItem, mode string) {
-	n := len(items)
+// stream serves n items as a stream: the negotiated content type and
+// shard headers, then one "result" record per item in completion
+// order with one flush per record, then the record done builds from
+// the error count. item computes one item's in-band result; a job the
+// engine fails (cancelled before dispatch, or panicked) is folded
+// in-band the same way. /v1/batch, /v1/sweep and /v1/design all
+// stream through here.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, mode string, n int,
+	item func(ctx context.Context, i int) (api.BatchResult, error), done func(ctx context.Context, errs int) any) {
 	if mode == "sse" {
 		w.Header().Set("Content-Type", api.ContentTypeSSE)
 		w.Header().Set("Cache-Control", "no-store")
@@ -64,30 +69,18 @@ func (s *Server) streamItems(w http.ResponseWriter, r *http.Request, items []api
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	errs := 0
-	engine.Stream(ctx, s.cfg.Workers, n,
-		func(ctx context.Context, i int) (api.BatchResult, error) {
-			key, fn, err := s.itemJob(items[i])
-			if err != nil {
-				return itemResult(nil, false, err), nil
-			}
-			body, cached, err := s.computeItem(ctx, r, items[i], key, fn)
-			return itemResult(body, cached, err), nil
-		},
-		func(i int, res engine.Result[api.BatchResult]) {
-			out := res.Value
-			if res.Err != nil {
-				out = itemResult(nil, false, res.Err)
-			}
-			if out.Error != nil {
-				errs++
-			}
-			s.metrics.StreamedResults.inc()
-			writeStreamRecord(w, flusher, mode, "result", api.BatchStreamItem{
-				Index: i, OK: out.OK, Cached: out.Cached,
-				Error: out.Error, Status: out.Status,
-			})
+	engine.Stream(ctx, s.cfg.Workers, n, item, func(i int, res engine.Result[api.BatchResult]) {
+		out := folded(res)
+		if out.Error != nil {
+			errs++
+		}
+		s.metrics.StreamedResults.inc()
+		writeStreamRecord(w, flusher, mode, "result", api.BatchStreamItem{
+			Index: i, OK: out.OK, Cached: out.Cached,
+			Error: out.Error, Status: out.Status,
 		})
-	writeStreamRecord(w, flusher, mode, "done", api.StreamDone{Done: true, Items: n, Errors: errs})
+	})
+	writeStreamRecord(w, flusher, mode, "done", done(ctx, errs))
 }
 
 // writeStreamRecord emits one record in the negotiated framing and
