@@ -2,9 +2,10 @@ package alloc
 
 // Steady-state allocation regressions: once a fleet's servers are
 // materialized, placing and releasing VMs must not touch the heap.
-// The index's treaps and segment tree are slice-backed, and the
-// departure heap reuses its backing array, so the simulator's per-VM
-// cost is pure CPU. testing.AllocsPerRun pins that at zero.
+// The index's treaps, the FirstFit segment tree and the whole-node
+// bitset are slice-backed, and the departure heap reuses its backing
+// array, so the simulator's per-VM cost is pure CPU.
+// testing.AllocsPerRun pins that at zero.
 
 import (
 	"math"
@@ -24,10 +25,10 @@ func TestIndexedPickZeroAllocs(t *testing.T) {
 			states[i] = srvState{cores: 28, mem: 224, vms: 1}
 		}
 	}
-	f := fleetOf(class, states)
-	for _, pol := range []Policy{BestFit, FirstFit, WorstFit} {
+	for _, pol := range policies {
+		f := fleetOf(class, pol, states)
 		avg := testing.AllocsPerRun(200, func() {
-			id := f.pick(4, 32, pol, true)
+			id := f.pick(4, 32, true)
 			if id == nilNode {
 				t.Fatal("no feasible server in a near-empty pool")
 			}

@@ -12,7 +12,11 @@ package alloc
 //
 //   - Columnar fleet state. A pool is four parallel slices
 //     (coresFree, memFree, vms, touched) indexed by server id, plus
-//     the shared ixCore placement index attached over those ids.
+//     the ixCore placement index attached over those ids, which keeps
+//     only the structures the pool's policy queries (index.go), and a
+//     whole-node bitset: bit id is set while server id is empty and
+//     fits a whole node. The full-node rule is the bitset's lowest set
+//     bit, and each place or release updates one bit in O(1).
 //     Snapshot sweeps walk flat float64 arrays; the whole fleet is a
 //     handful of allocations regardless of size.
 //
@@ -40,6 +44,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/greensku/gsf/internal/audit"
 	"github.com/greensku/gsf/internal/trace"
@@ -54,24 +59,36 @@ type fleet struct {
 	capC, capM float64 // float64(class.Cores), float64(class.Memory)
 	n          int32   // configured pool size
 	frontier   int32   // touched servers are exactly [0, frontier)
+	pol        Policy  // the placement policy every pick runs under
 	coresFree  []float64
 	memFree    []float64
 	vms        []int32
 	touched    []float64 // resident VMs' aggregate touched memory, GB
-	ix         ixCore
+	// whole has bit id set while touched server id is empty and fits a
+	// whole node: the servers the full-node rule may take.
+	whole []uint64
+	ix    ixCore
 }
 
-func newFleet(class ServerClass, n int) fleet {
-	f := fleet{
+func newFleet(class ServerClass, n int, pol Policy) fleet {
+	return fleet{
 		class: class,
 		capC:  float64(class.Cores),
 		capM:  float64(class.Memory),
 		n:     int32(n),
+		pol:   pol,
+		ix:    newIxCore(pol),
 	}
-	// The ixCore zero value has roots at node 0, a valid id; an empty
-	// core must point at nilNode.
-	f.ix.rootNE, f.ix.rootE = nilNode, nilNode
-	return f
+}
+
+// markWhole sets or clears server id's whole-node bit from its columns.
+func (f *fleet) markWhole(id int32) {
+	bit := uint64(1) << (id & 63)
+	if f.vms[id] == 0 && f.coresFree[id] >= f.capC && f.memFree[id] >= f.capM {
+		f.whole[id>>6] |= bit
+	} else {
+		f.whole[id>>6] &^= bit
+	}
 }
 
 // state reports a server's free capacity and occupancy, answering for
@@ -92,7 +109,7 @@ func (f *fleet) state(id int32) (cores, mem float64, nonEmpty bool) {
 // and need not be considered; this is also why a placement opening a
 // new server always opens id frontier, keeping the touched set a
 // prefix.
-func (f *fleet) pick(cores, mem float64, pol Policy, preferNonEmpty bool) int32 {
+func (f *fleet) pick(cores, mem float64, preferNonEmpty bool) int32 {
 	virgin := f.frontier < f.n && f.capC >= cores && f.capM >= mem
 	if f.frontier == 0 {
 		if virgin {
@@ -103,45 +120,45 @@ func (f *fleet) pick(cores, mem float64, pol Policy, preferNonEmpty bool) int32 
 	if preferNonEmpty {
 		// The virgin is empty, so any feasible non-empty server beats
 		// it outright; it only competes in the empty phase.
-		if t := f.ix.pickClass(cores, mem, pol, true); t != nilNode {
+		if t := f.ix.pickClass(cores, mem, f.pol, true); t != nilNode {
 			return t
 		}
-		return f.combine(f.ix.pickClass(cores, mem, pol, false), virgin, pol)
+		return f.combine(f.ix.pickClass(cores, mem, f.pol, false), virgin)
 	}
-	return f.combine(f.ix.pickNode(cores, mem, pol, false), virgin, pol)
+	return f.combine(f.ix.pickNode(cores, mem, f.pol, false), virgin)
 }
 
 // combine resolves the touched winner t against the virgin candidate
 // (full capacity, id frontier) under the scan's preference predicate.
 // The virgin has the highest id, so every tie keeps t.
-func (f *fleet) combine(t int32, virgin bool, pol Policy) int32 {
+func (f *fleet) combine(t int32, virgin bool) int32 {
 	if !virgin {
 		return t
 	}
 	if t == nilNode {
 		return f.frontier
 	}
-	nd := &f.ix.nodes[t]
-	switch pol {
+	c, m := f.coresFree[t], f.memFree[t]
+	switch f.pol {
 	case BestFit:
-		if f.capC != nd.cores {
-			if f.capC < nd.cores {
+		if f.capC != c {
+			if f.capC < c {
 				return f.frontier
 			}
 			return t
 		}
-		if f.capM < nd.mem {
+		if f.capM < m {
 			return f.frontier
 		}
 		return t
 	case WorstFit:
-		if f.capC != nd.cores {
-			if f.capC > nd.cores {
+		if f.capC != c {
+			if f.capC > c {
 				return f.frontier
 			}
 			return t
 		}
-		if f.capM > nd.mem {
+		if f.capM > m {
 			return f.frontier
 		}
 		return t
@@ -150,16 +167,16 @@ func (f *fleet) combine(t int32, virgin bool, pol Policy) int32 {
 	}
 }
 
-// firstEmptyFitting is the full-node rule: the lowest id of an empty
-// server fitting (cores, mem). Touched empties all precede the first
-// virgin.
-func (f *fleet) firstEmptyFitting(cores, mem float64) int32 {
-	if f.frontier > 0 {
-		if t := f.ix.firstEmptyFittingNode(cores, mem); t != nilNode {
-			return t
+// firstWholeEmpty is the full-node rule: the lowest id of an empty
+// server that fits a whole node. The touched ones are the whole-node
+// bitset's set bits, and they all precede the first virgin.
+func (f *fleet) firstWholeEmpty() int32 {
+	for w, word := range f.whole {
+		if word != 0 {
+			return int32(w<<6 + bits.TrailingZeros64(word))
 		}
 	}
-	if f.frontier < f.n && f.capC >= cores && f.capM >= mem {
+	if f.frontier < f.n {
 		return f.frontier
 	}
 	return nilNode
@@ -173,6 +190,9 @@ func (f *fleet) place(id int32, cores, mem, touched float64) {
 		f.memFree = append(f.memFree, f.capM)
 		f.vms = append(f.vms, 0)
 		f.touched = append(f.touched, 0)
+		if f.frontier&63 == 0 {
+			f.whole = append(f.whole, 0)
+		}
 		f.ix.grow(f.frontier + 1)
 		f.ix.attachID(f.frontier, f.capC, f.capM, false)
 		f.frontier++
@@ -182,6 +202,7 @@ func (f *fleet) place(id int32, cores, mem, touched float64) {
 	f.memFree[id] -= mem
 	f.vms[id]++
 	f.touched[id] += touched
+	f.whole[id>>6] &^= uint64(1) << (id & 63)
 	f.ix.attachID(id, f.coresFree[id], f.memFree[id], f.vms[id] > 0)
 }
 
@@ -195,6 +216,7 @@ func (f *fleet) release(id int32, cores, mem, touched float64) {
 	f.memFree[id] += mem
 	f.vms[id]--
 	f.touched[id] -= touched
+	f.markWhole(id)
 	f.ix.attachID(id, f.coresFree[id], f.memFree[id], f.vms[id] > 0)
 }
 
@@ -202,7 +224,7 @@ func (f *fleet) release(id int32, cores, mem, touched float64) {
 // predicate run over the touched prefix plus the first virgin. Audited
 // runs re-derive every indexed decision through it. Under
 // testIgnoreCapacity it skips the feasibility check.
-func (f *fleet) scanPick(cores, mem float64, pol Policy, preferNonEmpty bool) int32 {
+func (f *fleet) scanPick(cores, mem float64, preferNonEmpty bool) int32 {
 	best := nilNode
 	var bc, bm float64
 	bne := false
@@ -222,7 +244,7 @@ func (f *fleet) scanPick(cores, mem float64, pol Policy, preferNonEmpty bool) in
 		case preferNonEmpty && ne != bne:
 			better = ne
 		default:
-			switch pol {
+			switch f.pol {
 			case BestFit:
 				if c != bc {
 					better = c < bc
@@ -414,7 +436,7 @@ func newSim(name string, cfg Config, pools []Pool, decide Decider) *Sim {
 		lastArrive: math.Inf(-1),
 	}
 	for i, p := range pools {
-		s.pools[i] = newFleet(p.Class, p.N)
+		s.pools[i] = newFleet(p.Class, p.N, cfg.Policy)
 	}
 	return s
 }
@@ -513,7 +535,7 @@ func (s *Sim) admit(vm trace.VM) {
 	if vm.FullNode {
 		base := &s.pools[0]
 		cores, mem = base.capC, base.capM
-		placed = base.firstEmptyFitting(cores, mem)
+		placed = base.firstWholeEmpty()
 		if s.chk != nil {
 			s.auditFullNodePick(placed)
 		}
@@ -579,11 +601,11 @@ func (s *Sim) admit(vm trace.VM) {
 func (s *Sim) pickFrom(pool int, cores, mem float64) int32 {
 	f := &s.pools[pool]
 	if testIgnoreCapacity {
-		return f.scanPick(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty)
+		return f.scanPick(cores, mem, s.cfg.PreferNonEmpty)
 	}
-	id := f.pick(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty)
+	id := f.pick(cores, mem, s.cfg.PreferNonEmpty)
 	if s.chk != nil {
-		if ref := f.scanPick(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty); ref != id {
+		if ref := f.scanPick(cores, mem, s.cfg.PreferNonEmpty); ref != id {
 			audit.Failf(s.chk, "alloc", "index-divergence",
 				"%s pick(%gc/%gGB, %v, preferNonEmpty=%v): index chose server %d, scan chose %d",
 				poolName(pool), cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty, id, ref)
@@ -619,13 +641,13 @@ func (s *Sim) auditFullNodePick(got int32) {
 func (s *Sim) auditRejection(vm trace.VM, scales []float64) {
 	base := &s.pools[0]
 	if vm.FullNode {
-		if base.firstEmptyFitting(base.capC, base.capM) != nilNode {
+		if base.firstWholeEmpty() != nilNode {
 			audit.Failf(s.chk, "alloc", "spurious-rejection",
 				"full-node VM %d rejected with an empty baseline server available", vm.ID)
 		}
 		return
 	}
-	if base.scanPick(float64(vm.Cores), float64(vm.Memory), s.cfg.Policy, s.cfg.PreferNonEmpty) != nilNode {
+	if base.scanPick(float64(vm.Cores), float64(vm.Memory), s.cfg.PreferNonEmpty) != nilNode {
 		audit.Failf(s.chk, "alloc", "spurious-rejection",
 			"VM %d (%dc/%gGB) rejected with feasible baseline server", vm.ID, vm.Cores, float64(vm.Memory))
 	}
@@ -635,7 +657,7 @@ func (s *Sim) auditRejection(vm trace.VM, scales []float64) {
 			continue
 		}
 		cores, mem := float64(vm.Cores)*scale, float64(vm.Memory)*scale
-		if s.pools[g].scanPick(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty) != nilNode {
+		if s.pools[g].scanPick(cores, mem, s.cfg.PreferNonEmpty) != nilNode {
 			audit.Failf(s.chk, "alloc", "spurious-rejection",
 				"adopting VM %d (%gc/%gGB scaled) rejected with feasible server in %s pool", vm.ID, cores, mem, poolName(g))
 		}
@@ -687,6 +709,31 @@ func auditConservation(chk audit.Checker, f *fleet) {
 	}
 }
 
+// auditIntegrity checks the pool's placement index and its whole-node
+// bitset against the columns: a bit is set exactly for the touched
+// servers that are empty and fit a whole node.
+func (f *fleet) auditIntegrity(chk audit.Checker, pool string) {
+	if chk == nil {
+		return
+	}
+	f.ix.auditIntegrityCore(chk, pool, f.frontier, f.state)
+	if want := (f.frontier + 63) >> 6; int32(len(f.whole)) != want {
+		audit.Failf(chk, "alloc", "index-integrity",
+			"%s pool: whole-node bitset has %d words for %d servers", pool, len(f.whole), f.frontier)
+	}
+	for w, word := range f.whole {
+		for b := int32(0); b < 64; b++ {
+			id := int32(w)<<6 + b
+			c, m, ne := f.state(id)
+			want := id < f.frontier && !ne && c >= f.capC && m >= f.capM
+			if got := word>>b&1 == 1; got != want {
+				audit.Failf(chk, "alloc", "index-integrity",
+					"%s pool: whole-node bit %d is %v, server state says %v", pool, id, got, want)
+			}
+		}
+	}
+}
+
 // Finish runs the tail snapshots through the horizon, takes the final
 // observation, drains the audit checks, and returns the Result.
 func (s *Sim) Finish(horizon float64) Result {
@@ -712,7 +759,7 @@ func (s *Sim) finish(horizon float64) {
 		for i := range s.pools {
 			f := &s.pools[i]
 			auditConservation(s.chk, f)
-			f.ix.auditIntegrityCore(s.chk, poolName(i), f.frontier, f.state)
+			f.auditIntegrity(s.chk, poolName(i))
 		}
 	}
 }

@@ -10,22 +10,38 @@ package alloc
 // fuzz suites prove it, and the audit layer cross-checks it on every
 // audited placement.
 //
-// Two structures per pool, both keyed on exact float64 free capacity
-// (scaled requests make free cores fractional, and place/release pairs
-// leave sub-SimTol float drift, so integer-granular buckets would not
-// reproduce the scan's comparisons bit-for-bit):
+// A pool keeps one of two structures, the one its policy's queries
+// read. Both are keyed on exact float64 free capacity (scaled requests
+// make free cores fractional, and place/release pairs leave sub-SimTol
+// float drift, so integer-granular buckets would not reproduce the
+// scan's comparisons bit-for-bit):
 //
-//   - A treap per occupancy class (non-empty / empty) ordered by
-//     (coresFree, memFree, id), augmented with the subtree maximum of
-//     memFree. BestFit is the leftmost feasible key (least cores, then
-//     least memory, then first index — the scan's exact order);
-//     WorstFit is the rightmost feasible key re-anchored to the first
-//     index of its (cores, mem) tie group. The occupancy split makes
-//     PreferNonEmpty a query on one root with fallback to the other.
-//   - A segment tree over server indices holding per-class maxima of
-//     (coresFree, memFree). FirstFit is the leftmost feasible leaf;
-//     full-node placement, in every pool, is the leftmost feasible
-//     empty leaf.
+//   - BestFit and WorstFit pools keep a treap per occupancy class
+//     (non-empty / empty) ordered by (coresFree, memFree, id),
+//     augmented with the subtree maximum of memFree. BestFit is the
+//     leftmost feasible key (least cores, then least memory, then
+//     first index — the scan's exact order); WorstFit is the rightmost
+//     feasible key re-anchored to the first index of its (cores, mem)
+//     tie group. The occupancy split makes PreferNonEmpty a query on
+//     one root with fallback to the other.
+//   - FirstFit pools keep a segment tree over server indices holding
+//     per-class maxima of (coresFree, memFree). FirstFit is the
+//     leftmost feasible leaf.
+//
+// No query of one kind reads the other structure, and the full-node
+// rule, in every pool, reads the fleet's whole-node bitset instead
+// (colsim.go), so a pool maintains nothing its picks never read.
+//
+// A place or release re-keys one server: detach, mutate, re-attach.
+// The treap keeps its maxMem augmentation exact without recomputing
+// it level by level. An insertion can only raise a subtree maximum, so
+// insertNode raises maxMem on the way down and pulls only the nodes a
+// rotation re-parents. A merge's surviving root takes the larger of
+// the two roots' maxima, which is exactly the maximum of the union. A
+// deletion can only lower the maximum of a subtree whose maximum was
+// the leaving node's mem, so deleteNode pulls exactly those ancestors.
+// Every other maxMem is unchanged by construction; the integrity audit
+// recomputes them all.
 //
 // ixCore is the pure structure: it knows servers only as ids with
 // (coresFree, memFree, occupancy) keys, which the columnar fleet
@@ -74,11 +90,21 @@ var emptySeg = segNode{coresNE: negInf, memNE: negInf, coresE: negInf, memE: neg
 // demand (grow), so a sparse pool — the columnar fleet's touched
 // prefix — pays only for the ids it has materialized.
 type ixCore struct {
+	// byIndex is set for FirstFit pools: the core keeps the segment
+	// tree and no treaps. Otherwise it keeps the treaps, and seg stays
+	// nil with segSize 0.
+	byIndex bool
 	nodes   []treapNode
 	rootNE  int32
 	rootE   int32
 	seg     []segNode
 	segSize int32
+}
+
+// newIxCore returns an empty core for a pool under pol. Unknown
+// policies pick like FirstFit (pickClass), so they index by id too.
+func newIxCore(pol Policy) ixCore {
+	return ixCore{byIndex: pol != BestFit && pol != WorstFit, rootNE: nilNode, rootE: nilNode}
 }
 
 // prioOf derives a fixed, deterministic treap priority from a server
@@ -92,15 +118,18 @@ func prioOf(id int32) uint32 {
 
 // initCore readies the core for exactly n ids.
 func (ix *ixCore) initCore(n int) {
+	ix.rootNE, ix.rootE = nilNode, nilNode
+	if !ix.byIndex {
+		ix.nodes = make([]treapNode, n)
+		for i := range ix.nodes {
+			ix.nodes[i].prio = prioOf(int32(i))
+		}
+		return
+	}
 	segSize := int32(1)
 	for int(segSize) < n {
 		segSize <<= 1
 	}
-	ix.nodes = make([]treapNode, n)
-	for i := range ix.nodes {
-		ix.nodes[i].prio = prioOf(int32(i))
-	}
-	ix.rootNE, ix.rootE = nilNode, nilNode
 	ix.seg = make([]segNode, 2*segSize)
 	for i := range ix.seg {
 		ix.seg[i] = emptySeg
@@ -108,23 +137,22 @@ func (ix *ixCore) initCore(n int) {
 	ix.segSize = segSize
 }
 
-// grow extends the core to hold ids [0, n). Node slots append in
-// amortized O(1); when n outgrows the segment tree, the tree doubles
-// and rebuilds in O(n) — amortized O(1) per added id. Detached (never
-// attached) slots are inert: their leaves stay at the identity and
-// their treap nodes are untracked.
+// grow extends the core to hold ids [0, n). Treap node slots append
+// in amortized O(1); when n outgrows the segment tree, the tree
+// doubles and rebuilds in O(n) — amortized O(1) per added id. Detached
+// (never attached) slots are inert: their leaves stay at the identity
+// and their treap nodes are untracked.
 func (ix *ixCore) grow(n int32) {
-	for int32(len(ix.nodes)) < n {
-		ix.nodes = append(ix.nodes, treapNode{prio: prioOf(int32(len(ix.nodes)))})
+	if !ix.byIndex {
+		for int32(len(ix.nodes)) < n {
+			ix.nodes = append(ix.nodes, treapNode{prio: prioOf(int32(len(ix.nodes)))})
+		}
+		return
 	}
 	if n <= ix.segSize {
 		return
 	}
-	newSize := ix.segSize
-	if newSize == 0 {
-		newSize = 1
-		ix.rootNE, ix.rootE = nilNode, nilNode
-	}
+	newSize := max(ix.segSize, 1)
 	for newSize < n {
 		newSize <<= 1
 	}
@@ -191,11 +219,18 @@ func (ix *ixCore) rotateLeft(n int32) int32 {
 	return r
 }
 
+// insertNode inserts n, whose maxMem is its own mem, into the treap
+// at root. Every node on the descent gains n in its subtree, so its
+// maxMem is raised on the way down; a rotation re-parents two nodes
+// and pulls exactly those.
 func (ix *ixCore) insertNode(root, n int32) int32 {
 	if root == nilNode {
 		return n
 	}
 	rd := &ix.nodes[root]
+	if m := ix.nodes[n].mem; m > rd.maxMem {
+		rd.maxMem = m
+	}
 	if ix.keyLess(n, root) {
 		rd.left = ix.insertNode(rd.left, n)
 		if ix.nodes[rd.left].prio > rd.prio {
@@ -207,10 +242,12 @@ func (ix *ixCore) insertNode(root, n int32) int32 {
 			return ix.rotateLeft(root)
 		}
 	}
-	ix.pull(root)
 	return root
 }
 
+// mergeNodes joins two treaps whose keys are ordered a < b. The
+// surviving root's subtree becomes the union of both, so its maxMem
+// is the larger of the two roots' maxima.
 func (ix *ixCore) mergeNodes(a, b int32) int32 {
 	if a == nilNode {
 		return b
@@ -218,16 +255,20 @@ func (ix *ixCore) mergeNodes(a, b int32) int32 {
 	if b == nilNode {
 		return a
 	}
-	if ix.nodes[a].prio >= ix.nodes[b].prio {
-		ix.nodes[a].right = ix.mergeNodes(ix.nodes[a].right, b)
-		ix.pull(a)
+	na, nb := &ix.nodes[a], &ix.nodes[b]
+	mm := fmax(na.maxMem, nb.maxMem)
+	if na.prio >= nb.prio {
+		na.maxMem = mm
+		na.right = ix.mergeNodes(na.right, b)
 		return a
 	}
-	ix.nodes[b].left = ix.mergeNodes(a, ix.nodes[b].left)
-	ix.pull(b)
+	nb.maxMem = mm
+	nb.left = ix.mergeNodes(a, nb.left)
 	return b
 }
 
+// deleteNode removes n from the treap at root. Only an ancestor whose
+// maxMem was n's mem can see its maximum fall, so only those pull.
 func (ix *ixCore) deleteNode(root, n int32) int32 {
 	if root == nilNode {
 		panic("alloc: placement index lost track of a server")
@@ -241,13 +282,19 @@ func (ix *ixCore) deleteNode(root, n int32) int32 {
 	} else {
 		rd.right = ix.deleteNode(rd.right, n)
 	}
-	ix.pull(root)
+	if rd.maxMem == ix.nodes[n].mem {
+		ix.pull(root)
+	}
 	return root
 }
 
 // detachID removes an id from the index ahead of a mutation of its
-// free capacity or occupancy; attachID re-inserts it afterwards.
+// free capacity or occupancy; attachID re-inserts it afterwards. A
+// segment-tree leaf is simply overwritten on attach.
 func (ix *ixCore) detachID(n int32) {
+	if ix.byIndex {
+		return
+	}
 	if ix.nodes[n].ne {
 		ix.rootNE = ix.deleteNode(ix.rootNE, n)
 	} else {
@@ -256,6 +303,10 @@ func (ix *ixCore) detachID(n int32) {
 }
 
 func (ix *ixCore) attachID(n int32, cores, mem float64, ne bool) {
+	if ix.byIndex {
+		ix.segSet(n, cores, mem, ne)
+		return
+	}
 	nd := &ix.nodes[n]
 	nd.left, nd.right = nilNode, nilNode
 	nd.cores, nd.mem, nd.maxMem = cores, mem, mem
@@ -265,7 +316,6 @@ func (ix *ixCore) attachID(n int32, cores, mem float64, ne bool) {
 	} else {
 		ix.rootE = ix.insertNode(ix.rootE, n)
 	}
-	ix.segSet(n, cores, mem, ne)
 }
 
 // segSet rewrites an id's segment-tree leaf and bubbles the change to
@@ -451,15 +501,6 @@ func (ix *ixCore) pickNode(cores, mem float64, pol Policy, preferNonEmpty bool) 
 	}
 }
 
-// firstEmptyFittingNode returns the lowest id of an empty server that
-// fits (cores, mem), or nilNode — the single-pool full-node rule.
-func (ix *ixCore) firstEmptyFittingNode(cores, mem float64) int32 {
-	if ix.segSize == 0 {
-		return nilNode
-	}
-	return ix.segFirst(1, cores, mem, false, true)
-}
-
 // minKey combines per-class BestFit winners: smallest (cores, mem, id).
 func (ix *ixCore) minKey(a, b int32) int32 {
 	if a == nilNode {
@@ -504,13 +545,18 @@ func (ix *ixCore) maxKeyFirstIdx(a, b int32) int32 {
 
 // auditIntegrityCore walks the whole index and reports any structural
 // drift against the live pool state (supplied per id by state) to the
-// audit layer: treap ordering and heap shape, augmentation sums,
-// occupancy classification, key staleness, segment-tree maxima and
-// empty counts, and that every one of the n attached ids is indexed
-// exactly once. The conservation audit calls it so audited
-// simulations verify the index itself, not just the pool.
+// audit layer: for treaps, ordering and heap shape, subtree maxima,
+// occupancy classification, key staleness, and that every one of the
+// n attached ids is indexed exactly once; for a segment tree, its
+// leaves and combines. fleet.auditIntegrity calls it
+// at the end of audited replays so they verify the index itself, not
+// just the pool.
 func (ix *ixCore) auditIntegrityCore(chk audit.Checker, pool string, n int32, state func(id int32) (cores, mem float64, ne bool)) {
 	if chk == nil || ix == nil {
+		return
+	}
+	if ix.byIndex {
+		ix.auditSegTree(chk, pool, n, state)
 		return
 	}
 	seen := make([]bool, n)
@@ -580,8 +626,17 @@ func (ix *ixCore) auditIntegrityCore(chk audit.Checker, pool string, n int32, st
 		audit.Failf(chk, "alloc", "index-integrity",
 			"%s pool: %d of %d servers indexed", pool, count, n)
 	}
-	// Segment tree: exact leaves for attached ids, identity leaves
-	// beyond them, consistent internal combines.
+}
+
+// auditSegTree checks a FirstFit pool's segment tree: exact leaves for
+// the n attached ids, identity leaves beyond them, consistent internal
+// combines.
+func (ix *ixCore) auditSegTree(chk audit.Checker, pool string, n int32, state func(id int32) (cores, mem float64, ne bool)) {
+	if ix.segSize < n {
+		audit.Failf(chk, "alloc", "index-integrity",
+			"%s pool: segment tree holds %d of %d servers", pool, ix.segSize, n)
+		return
+	}
 	for i := int32(0); i < ix.segSize; i++ {
 		sn := ix.seg[ix.segSize+i]
 		want := emptySeg

@@ -1,21 +1,30 @@
 package alloc
 
 // Fuzz harness for the columnar fleet's placement index: arbitrary
-// byte strings become place/release sequences, and after every
-// operation each policy query is checked against the linear scan, with
-// a full oracle walk at the end. Any reachable index state that
-// disagrees with the scan — however contrived the interleaving — is a
-// crash.
+// byte strings become place/release sequences, replayed on one fleet
+// per policy, and after every operation the fleet's picks and its
+// full-node rule are checked against the linear scan, with a full
+// oracle walk at the end. Any reachable index state that disagrees
+// with the scan — however contrived the interleaving — is a crash.
 
 import "testing"
 
-// runIndexOps interprets data as 3-byte (op, a, b) tuples:
+// runIndexOps runs data's operations on a fleet of each policy.
+func runIndexOps(t *testing.T, data []byte) {
+	for _, pol := range policies {
+		runIndexOpsOn(t, pol, data)
+	}
+}
+
+// runIndexOpsOn interprets data as 3-byte (op, a, b) tuples on a
+// fleet under pol:
 //
 //	op bit 7 set:  release the live placement selected by (a, b)
-//	op bit 7 clear: place via policy (op>>1)%3, PreferNonEmpty op&1,
-//	                request (opCores[a%n], opMem[b%n])
-func runIndexOps(t *testing.T, data []byte) {
-	f := newFleet(indexClass(), 9)
+//	op bit 7 clear: place where the scan under policy (op>>1)%3 and
+//	                PreferNonEmpty op&1 puts request
+//	                (opCores[a%n], opMem[b%n])
+func runIndexOpsOn(t *testing.T, pol Policy, data []byte) {
+	f := newFleet(indexClass(), 9, pol)
 	var live []placement
 	for i := 0; i+2 < len(data); i += 3 {
 		op, a, b := data[i], data[i+1], data[i+2]
@@ -31,13 +40,12 @@ func runIndexOps(t *testing.T, data []byte) {
 		} else {
 			c := opCores[int(a)%len(opCores)]
 			m := opMem[int(b)%len(opMem)]
-			pol := Policy((op >> 1) % 3)
-			id := f.pick(c, m, pol, op&1 == 1)
-			if want := f.scanPick(c, m, pol, op&1 == 1); id != want {
-				t.Fatalf("op %d: pick(%g, %g, %v, %v) index %d, scan %d",
-					i/3, c, m, pol, op&1 == 1, id, want)
+			prefer := op&1 == 1
+			if got, want := f.pick(c, m, prefer), f.scanPick(c, m, prefer); got != want {
+				t.Fatalf("%v fleet, op %d: pick(%g, %g, %v) index %d, scan %d",
+					pol, i/3, c, m, prefer, got, want)
 			}
-			if id != nilNode {
+			if id := scanUnder(&f, Policy((op>>1)%3), c, m, prefer); id != nilNode {
 				f.place(id, c, m, 0)
 				live = append(live, placement{id, c, m})
 			}

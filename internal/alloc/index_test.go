@@ -3,8 +3,10 @@ package alloc
 // Property tests for the columnar fleet's placement index against two
 // oracles: the linear scan (pick equality on every query) and a naive
 // recompute of the index's own invariants (treap membership and
-// ordering per occupancy class, done by sorting the touched servers). The fuzz harness
-// in index_fuzz_test.go drives the same checks from arbitrary byte
+// ordering per occupancy class, done by sorting the touched servers).
+// A fleet's index keeps only what its policy queries, so each check
+// runs on one fleet per policy. The fuzz harness in
+// index_fuzz_test.go drives the same checks from arbitrary byte
 // strings.
 
 import (
@@ -29,6 +31,20 @@ var (
 	opMem   = []float64{4, 8, 8.8, 16, 24}
 )
 
+// policies lists the placement policies; every index check builds one
+// fleet per entry.
+var policies = []Policy{BestFit, FirstFit, WorstFit}
+
+// scanUnder is the linear scan of f's servers under policy q, which
+// may differ from the fleet's own: random and fuzzed workloads choose
+// their placements with it, so every fleet sees states that any
+// policy's placements reach.
+func scanUnder(f *fleet, q Policy, c, m float64, prefer bool) int32 {
+	g := *f
+	g.pol = q
+	return g.scanPick(c, m, prefer)
+}
+
 // inOrder appends the subtree's node ids in key order.
 func inOrder(ix *ixCore, n int32, out *[]int32) {
 	if n == nilNode {
@@ -39,11 +55,33 @@ func inOrder(ix *ixCore, n int32, out *[]int32) {
 	inOrder(ix, ix.nodes[n].right, out)
 }
 
-// checkOracle rebuilds the index's claims naively from the fleet's
-// touched servers — which server belongs to which occupancy treap, and
-// in what order — and verifies them, then runs the full structural
-// integrity walk.
+// checkOracle checks that the fleet keeps the structure its policy
+// reads and no other. For treaps, it rebuilds the index's claims
+// naively from the fleet's touched servers — which server belongs to
+// which occupancy treap, and in what order — and verifies them. Then
+// it runs the full structural integrity walk.
 func checkOracle(t *testing.T, f *fleet) {
+	t.Helper()
+	touched := f.frontier > 0
+	if kept := f.ix.seg != nil; kept != (f.pol == FirstFit && touched) {
+		t.Fatalf("%v fleet with %d touched servers keeps a segment tree: %v", f.pol, f.frontier, kept)
+	}
+	if kept := f.ix.nodes != nil; kept != (f.pol != FirstFit && touched) {
+		t.Fatalf("%v fleet with %d touched servers keeps treaps: %v", f.pol, f.frontier, kept)
+	}
+	if f.pol != FirstFit {
+		checkTreaps(t, f)
+	}
+	rec := audit.NewRecorder()
+	f.auditIntegrity(rec, "oracle")
+	if rec.Count() > 0 {
+		t.Fatalf("index integrity violations: %v", rec.Violations())
+	}
+}
+
+// checkTreaps verifies each occupancy treap's members and their key
+// order against a sort of the touched servers.
+func checkTreaps(t *testing.T, f *fleet) {
 	t.Helper()
 	want := map[bool][]int32{}
 	for id := int32(0); id < f.frontier; id++ {
@@ -76,37 +114,30 @@ func checkOracle(t *testing.T, f *fleet) {
 			}
 		}
 	}
-	rec := audit.NewRecorder()
-	f.ix.auditIntegrityCore(rec, "oracle", f.frontier, f.state)
-	if rec.Count() > 0 {
-		t.Fatalf("index integrity violations: %v", rec.Violations())
-	}
 }
 
-// comparePicks checks every query the simulator issues — all
-// policies, both PreferNonEmpty settings, and the full-node rule —
-// against a linear scan, for one request.
+// comparePicks checks every query the simulator issues of the fleet —
+// its policy's picks under both PreferNonEmpty settings for one
+// request, and the full-node rule — against a linear scan.
 func comparePicks(t *testing.T, f *fleet, c, m float64) {
 	t.Helper()
-	for _, pol := range []Policy{BestFit, FirstFit, WorstFit} {
-		for _, prefer := range []bool{false, true} {
-			got := f.pick(c, m, pol, prefer)
-			want := f.scanPick(c, m, pol, prefer)
-			if got != want {
-				t.Fatalf("pick(%g, %g, %v, preferNonEmpty=%v): index chose %d, scan chose %d",
-					c, m, pol, prefer, got, want)
-			}
+	for _, prefer := range []bool{false, true} {
+		got := f.pick(c, m, prefer)
+		want := f.scanPick(c, m, prefer)
+		if got != want {
+			t.Fatalf("pick(%g, %g, %v, preferNonEmpty=%v): index chose %d, scan chose %d",
+				c, m, f.pol, prefer, got, want)
 		}
 	}
-	wantFit := nilNode
+	wantWhole := nilNode
 	for id := int32(0); id < f.n; id++ {
-		if sc, sm, ne := f.state(id); !ne && sc >= c && sm >= m {
-			wantFit = id
+		if sc, sm, ne := f.state(id); !ne && sc >= f.capC && sm >= f.capM {
+			wantWhole = id
 			break
 		}
 	}
-	if got := f.firstEmptyFitting(c, m); got != wantFit {
-		t.Fatalf("firstEmptyFitting(%g, %g): index chose %d, scan chose %d", c, m, got, wantFit)
+	if got := f.firstWholeEmpty(); got != wantWhole {
+		t.Fatalf("%v fleet: full-node rule chose %d, scan chose %d", f.pol, got, wantWhole)
 	}
 }
 
@@ -117,41 +148,50 @@ type placement struct {
 }
 
 // TestIndexMatchesOracleRandomOps drives random place/release
-// sequences and checks every fleet query against the scan after each
+// sequences, whole-node placements among them, through one fleet per
+// policy and checks every fleet query against the scan after each
 // mutation, with periodic full-structure oracle checks.
 func TestIndexMatchesOracleRandomOps(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
-		r := stats.NewRNG(seed * 7919)
-		f := newFleet(indexClass(), 11)
-		var live []placement
-		steps := 600
-		if testing.Short() {
-			steps = 150
-		}
-		for step := 0; step < steps; step++ {
-			if len(live) > 0 && r.Float64() < 0.45 {
-				k := r.Intn(len(live))
-				p := live[k]
-				f.release(p.id, p.c, p.m, 0)
-				live[k] = live[len(live)-1]
-				live = live[:len(live)-1]
-			} else {
-				c := opCores[r.Intn(len(opCores))]
-				m := opMem[r.Intn(len(opMem))]
-				pol := Policy(r.Intn(3))
-				if id := f.pick(c, m, pol, r.Intn(2) == 0); id != nilNode {
-					f.place(id, c, m, 0)
-					live = append(live, placement{id, c, m})
+		for _, pol := range policies {
+			r := stats.NewRNG(seed * 7919)
+			f := newFleet(indexClass(), 11, pol)
+			var live []placement
+			steps := 600
+			if testing.Short() {
+				steps = 150
+			}
+			for step := 0; step < steps; step++ {
+				switch u := r.Float64(); {
+				case len(live) > 0 && u < 0.45:
+					k := r.Intn(len(live))
+					p := live[k]
+					f.release(p.id, p.c, p.m, 0)
+					live[k] = live[len(live)-1]
+					live = live[:len(live)-1]
+				case u > 0.97:
+					if id := f.firstWholeEmpty(); id != nilNode {
+						f.place(id, f.capC, f.capM, 0)
+						live = append(live, placement{id, f.capC, f.capM})
+					}
+				default:
+					c := opCores[r.Intn(len(opCores))]
+					m := opMem[r.Intn(len(opMem))]
+					q := Policy(r.Intn(3))
+					if id := scanUnder(&f, q, c, m, r.Intn(2) == 0); id != nilNode {
+						f.place(id, c, m, 0)
+						live = append(live, placement{id, c, m})
+					}
+				}
+				comparePicks(t, &f, opCores[step%len(opCores)], opMem[step%len(opMem)])
+				if step%40 == 0 {
+					comparePicks(t, &f, 0, 0)
+					comparePicks(t, &f, 1e9, 1e9)
+					checkOracle(t, &f)
 				}
 			}
-			comparePicks(t, &f, opCores[step%len(opCores)], opMem[step%len(opMem)])
-			if step%40 == 0 {
-				comparePicks(t, &f, 0, 0)
-				comparePicks(t, &f, 1e9, 1e9)
-				checkOracle(t, &f)
-			}
+			checkOracle(t, &f)
 		}
-		checkOracle(t, &f)
 	}
 }
 
@@ -173,7 +213,7 @@ func TestAuditCatchesCorruptedIndex(t *testing.T) {
 	f.coresFree[0] -= 5
 
 	integrity := audit.NewRecorder()
-	f.ix.auditIntegrityCore(integrity, "canary", f.frontier, f.state)
+	f.auditIntegrity(integrity, "canary")
 	if integrity.Counts()["alloc/index-integrity"] == 0 {
 		t.Fatalf("stale index key not caught: %v", integrity.Counts())
 	}
@@ -184,19 +224,47 @@ func TestAuditCatchesCorruptedIndex(t *testing.T) {
 	}
 }
 
+// TestAuditCatchesFlippedWholeNodeBit is the canary for the
+// whole-node bitset's audit: flipping one bit, either way, must
+// surface as exactly one integrity violation.
+func TestAuditCatchesFlippedWholeNodeBit(t *testing.T) {
+	for _, flip := range []int32{0, 1} {
+		f := newFleet(indexClass(), 4, BestFit)
+		for id := int32(0); id < 3; id++ {
+			f.place(id, 2, 8, 0)
+		}
+		f.release(1, 2, 8, 0) // server 1 is empty again: its bit is set
+		clean := audit.NewRecorder()
+		f.auditIntegrity(clean, "canary")
+		if clean.Count() != 0 {
+			t.Fatalf("clean fleet recorded violations: %v", clean.Violations())
+		}
+		f.whole[0] ^= 1 << flip
+		rec := audit.NewRecorder()
+		f.auditIntegrity(rec, "canary")
+		if n := rec.Counts()["alloc/index-integrity"]; n != 1 || rec.Count() != 1 {
+			t.Fatalf("flipped whole-node bit %d: %d index-integrity violations of %d, want exactly 1: %v",
+				flip, n, rec.Count(), rec.Violations())
+		}
+	}
+}
+
 // TestIndexEmptyAndSinglePools covers the degenerate pool sizes the
 // simulators hand the fleet.
 func TestIndexEmptyAndSinglePools(t *testing.T) {
-	empty := newFleet(indexClass(), 0)
-	comparePicks(t, &empty, 2, 8)
-	if id := empty.pick(2, 8, BestFit, true); id != nilNode {
-		t.Fatalf("empty pool picked server %d", id)
+	for _, pol := range policies {
+		empty := newFleet(indexClass(), 0, pol)
+		comparePicks(t, &empty, 2, 8)
+		if id := empty.pick(2, 8, true); id != nilNode {
+			t.Fatalf("empty %v pool picked server %d", pol, id)
+		}
+		f := newFleet(indexClass(), 1, pol)
+		comparePicks(t, &f, 2, 8)
+		f.place(0, 2, 8, 0)
+		comparePicks(t, &f, 2, 8)
+		comparePicks(t, &f, 8, 64)
+		f.release(0, 2, 8, 0)
+		comparePicks(t, &f, 8, 64)
+		checkOracle(t, &f)
 	}
-	f := newFleet(indexClass(), 1)
-	comparePicks(t, &f, 2, 8)
-	f.place(0, 2, 8, 0)
-	comparePicks(t, &f, 2, 8)
-	comparePicks(t, &f, 8, 64)
-	f.release(0, 2, 8, 0)
-	checkOracle(t, &f)
 }

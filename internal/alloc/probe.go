@@ -318,6 +318,7 @@ func (f *fleet) clone() fleet {
 	c.memFree = slices.Clone(f.memFree)
 	c.vms = slices.Clone(f.vms)
 	c.touched = slices.Clone(f.touched)
+	c.whole = slices.Clone(f.whole)
 	c.ix.nodes = slices.Clone(f.ix.nodes)
 	c.ix.seg = slices.Clone(f.ix.seg)
 	return c
@@ -325,22 +326,22 @@ func (f *fleet) clone() fleet {
 
 // touchedWinner is the server pick would choose from the touched
 // prefix alone, as if the pool had no virgin left.
-func (f *fleet) touchedWinner(cores, mem float64, pol Policy, preferNonEmpty bool) int32 {
+func (f *fleet) touchedWinner(cores, mem float64, preferNonEmpty bool) int32 {
 	if f.frontier == 0 {
 		return nilNode
 	}
-	return f.ix.pickNode(cores, mem, pol, preferNonEmpty)
+	return f.ix.pickNode(cores, mem, f.pol, preferNonEmpty)
 }
 
 // recordOpening appends the forced entry for a placement about to open
 // the frontier server of the base or green pool.
 func (s *Sim) recordOpening(vm trace.VM, pool int, cores, mem float64) {
-	pol, pne := s.cfg.Policy, s.cfg.PreferNonEmpty
+	pne := s.cfg.PreferNonEmpty
 	base, green := &s.pools[0], &s.pools[1]
 	if pool == 0 {
 		// A full-node VM opens a server only when no touched one is
 		// empty, so its openings are always forced.
-		forced := vm.FullNode || base.touchedWinner(cores, mem, pol, pne) == nilNode
+		forced := vm.FullNode || base.touchedWinner(cores, mem, pne) == nilNode
 		s.rec.BaseOpened = append(s.rec.BaseOpened, forced)
 		s.rec.baseAt = append(s.rec.baseAt, int32(s.events))
 		if !forced {
@@ -349,9 +350,9 @@ func (s *Sim) recordOpening(vm trace.VM, pool int, cores, mem float64) {
 		return
 	}
 	upTo := int32(-1)
-	if green.touchedWinner(cores, mem, pol, pne) == nilNode {
+	if green.touchedWinner(cores, mem, pne) == nilNode {
 		bc, bm := float64(vm.Cores), float64(vm.Memory)
-		if base.touchedWinner(bc, bm, pol, pne) == nilNode {
+		if base.touchedWinner(bc, bm, pne) == nilNode {
 			// The baseline pool refuses the fallback unless it still
 			// has a virgin that fits: at sizes up to its frontier.
 			upTo = math.MaxInt32

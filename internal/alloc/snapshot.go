@@ -273,14 +273,17 @@ func (r *snapReader) fleet(f *fleet) error {
 			return err
 		}
 	}
-	// Rebuild the index from the restored columns. Treap shapes can
-	// differ from the writer's when priorities collide, but every index
-	// query is key-deterministic, so decisions are unaffected.
+	// Rebuild the index and the whole-node bitset from the restored
+	// columns. Treap shapes can differ from the writer's when
+	// priorities collide, but every index query is key-deterministic,
+	// so decisions are unaffected.
 	f.frontier = n
+	f.whole = make([]uint64, (n+63)>>6)
 	if n > 0 {
 		f.ix.initCore(int(n))
 		for id := int32(0); id < n; id++ {
 			f.ix.attachID(id, f.coresFree[id], f.memFree[id], f.vms[id] > 0)
+			f.markWhole(id)
 		}
 	}
 	return nil
@@ -438,7 +441,7 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 		*c = int(v)
 	}
 
-	s.pools = []fleet{newFleet(s.cfg.Base, s.cfg.NBase), newFleet(s.cfg.Green, s.cfg.NGreen)}
+	s.pools = []fleet{newFleet(s.cfg.Base, s.cfg.NBase, s.cfg.Policy), newFleet(s.cfg.Green, s.cfg.NGreen, s.cfg.Policy)}
 	s.aggs = make([]aggregator, 2)
 	for i := range s.pools {
 		if err := r.fleet(&s.pools[i]); err != nil {

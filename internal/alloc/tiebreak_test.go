@@ -14,15 +14,20 @@ type srvState struct {
 	vms        int32
 }
 
-// fleetOf builds a fleet whose servers are all materialized in the
-// given states and attached to the index.
-func fleetOf(class ServerClass, states []srvState) fleet {
-	f := newFleet(class, len(states))
+// fleetOf builds a fleet under pol whose servers are all materialized
+// in the given states, attached to the index and marked in the
+// whole-node bitset.
+func fleetOf(class ServerClass, pol Policy, states []srvState) fleet {
+	f := newFleet(class, len(states), pol)
 	for _, st := range states {
 		f.coresFree = append(f.coresFree, st.cores)
 		f.memFree = append(f.memFree, st.mem)
 		f.vms = append(f.vms, st.vms)
 		f.touched = append(f.touched, 0)
+		if f.frontier&63 == 0 {
+			f.whole = append(f.whole, 0)
+		}
+		f.markWhole(f.frontier)
 		f.ix.grow(f.frontier + 1)
 		f.ix.attachID(f.frontier, st.cores, st.mem, st.vms > 0)
 		f.frontier++
@@ -115,11 +120,11 @@ func TestPolicyTieBreaking(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			class := ServerClass{Name: "tie", Cores: 8, Memory: 64, LocalMemory: 64}
-			f := fleetOf(class, tc.srvs)
-			if got := f.scanPick(tc.c, tc.m, tc.pol, tc.prefer); got != tc.want {
+			f := fleetOf(class, tc.pol, tc.srvs)
+			if got := f.scanPick(tc.c, tc.m, tc.prefer); got != tc.want {
 				t.Errorf("linear scan chose server %d, want %d", got, tc.want)
 			}
-			if got := f.pick(tc.c, tc.m, tc.pol, tc.prefer); got != tc.want {
+			if got := f.pick(tc.c, tc.m, tc.prefer); got != tc.want {
 				t.Errorf("index chose server %d, want %d", got, tc.want)
 			}
 		})

@@ -82,8 +82,8 @@ func TestClose(t *testing.T) {
 		{1, 1, 1e-9, true},
 		{1, 1 + 1e-12, 1e-9, true},
 		{1, 1.001, 1e-9, false},
-		{0, 1e-10, 1e-9, true},        // absolute near zero
-		{1e12, 1e12 + 1, 1e-9, true},  // relative for large magnitudes
+		{0, 1e-10, 1e-9, true},       // absolute near zero
+		{1e12, 1e12 + 1, 1e-9, true}, // relative for large magnitudes
 		{1e12, 1e12 + 1e5, 1e-9, false},
 		{math.NaN(), 1, 1e-3, false},
 		{math.Inf(1), math.Inf(1), 1e-3, false},

@@ -11,16 +11,18 @@ package server
 // whenever the server or the process has an audit checker.
 //
 // Buffered responses cache the whole reply under the canonical request
-// key and fail atomically on the first evaluation error. Streaming
-// responses (Accept: application/x-ndjson or text/event-stream)
-// deliver one record per candidate in completion order, each cached
-// individually so repeated streams — and buffered requests sharing a
-// candidate — hit warm entries; the terminal record carries the
-// frontier as stream indices. A candidate point rebuilt from its cached
-// JSON is bit-identical to the freshly evaluated one (Go's float64
-// round-trips exactly), so the streamed frontier never depends on
-// cache state. On a sharded fleet the whole request forwards to the
-// replica owning its key, like the single evaluation endpoints.
+// key and fail atomically on the first evaluation error. The key comes
+// from the validated filters alone, so a cached reply is served
+// before the candidates are enumerated. Streaming responses (Accept:
+// application/x-ndjson or text/event-stream) deliver one record per
+// candidate in completion order, each cached individually so repeated
+// streams — and buffered requests sharing a candidate — hit warm
+// entries; the terminal record carries the frontier as stream
+// indices. A candidate point rebuilt from its cached JSON is
+// bit-identical to the freshly evaluated one (Go's float64 round-trips
+// exactly), so the streamed frontier never depends on cache state. On
+// a sharded fleet the whole request forwards to the replica owning its
+// key, like the single evaluation endpoints.
 
 import (
 	"context"
@@ -67,23 +69,25 @@ type designPlan struct {
 	popt    design.PerfOptions
 }
 
-// newDesignPlan validates a request into its design run and
-// whole-request cache key.
-func (s *Server) newDesignPlan(req api.DesignRequest) (*designPlan, string, error) {
+// designOptions validates a request's dataset, carbon intensity and
+// filters into the options of its design run and its whole-request
+// cache key. It enumerates no candidates, so a cached reply costs
+// none; newDesignPlan finishes the validation on a miss.
+func (s *Server) designOptions(req api.DesignRequest) (design.Options, string, error) {
 	d, err := s.lookupDataset(req.Dataset)
 	if err != nil {
-		return nil, "", err
+		return design.Options{}, "", err
 	}
 	ci, err := normalizeCI(req.CI, d)
 	if err != nil {
-		return nil, "", err
+		return design.Options{}, "", err
 	}
 	// Bound the intensity well below float overflow: an absurd CI would
 	// push every candidate's operational carbon to +Inf, which both
 	// breaks the carbon model's own part-sum invariant and leaves the
 	// frontier with nothing finite to keep. Real grids sit under 2.
 	if float64(ci) > maxDesignCI {
-		return nil, "", fmt.Errorf("%w: carbon intensity %v exceeds the evaluable bound of %v kgCO2e/kWh",
+		return design.Options{}, "", fmt.Errorf("%w: carbon intensity %v exceeds the evaluable bound of %v kgCO2e/kWh",
 			errBadRequest, float64(ci), maxDesignCI)
 	}
 	sp := s.designSpace()
@@ -103,13 +107,13 @@ func (s *Server) newDesignPlan(req api.DesignRequest) (*designPlan, string, erro
 		// does not depend on map iteration order.
 		for _, name := range req.CPUs {
 			if want[name] {
-				return nil, "", fmt.Errorf("%w: cpu %q is not in the design space", errBadRequest, name)
+				return design.Options{}, "", fmt.Errorf("%w: cpu %q is not in the design space", errBadRequest, name)
 			}
 		}
 		sp.CPUs = cpus
 	}
 	if req.MaxGPUs < 0 {
-		return nil, "", fmt.Errorf("%w: negative max_gpus %d", errBadRequest, req.MaxGPUs)
+		return design.Options{}, "", fmt.Errorf("%w: negative max_gpus %d", errBadRequest, req.MaxGPUs)
 	}
 	var gpus []design.GPUOption
 	for _, g := range sp.GPUOptions {
@@ -130,29 +134,36 @@ func (s *Server) newDesignPlan(req api.DesignRequest) (*designPlan, string, erro
 	if s.cfg.Audit != nil {
 		opt.Audit = s.cfg.Audit
 	}
+	// The filtered space stands for the cpus and max_gpus filters, so
+	// requests that select the same candidates share one entry. The key
+	// fixes every option, so a request whose key is cached passed
+	// newDesignPlan's checks when its reply was computed.
+	key := cacheKey("design", d.name, fmtCI(ci), strconv.FormatBool(req.IncludePaper),
+		fmt.Sprintf("%#v|%#v", sp, opt.Perf))
+	return opt, key, nil
+}
+
+// newDesignPlan enumerates and rack-checks the candidates of a
+// validated request's options.
+func (s *Server) newDesignPlan(opt design.Options) (*designPlan, error) {
 	// Every server dataset is in the design catalog, so a failure here
 	// is a dataset/space mismatch — the requested dataset has no carbon
 	// data for a CPU or GPU the space enumerates — which the client
 	// chose, not a server fault.
 	run, err := design.NewRun(opt)
 	if err != nil {
-		return nil, "", fmt.Errorf("%w: design space is not evaluable under dataset %q: %v",
-			errBadRequest, d.name, err)
+		return nil, fmt.Errorf("%w: design space is not evaluable under dataset %q: %v",
+			errBadRequest, opt.Dataset, err)
 	}
 	if len(run.SKUs) == 0 {
-		return nil, "", fmt.Errorf("%w: the requested design space has no feasible candidates", errBadRequest)
+		return nil, fmt.Errorf("%w: the requested design space has no feasible candidates", errBadRequest)
 	}
 	if len(run.SKUs) > s.cfg.MaxDesignCandidates {
-		return nil, "", &codedError{code: api.CodeBadInput, limit: s.cfg.MaxDesignCandidates,
+		return nil, &codedError{code: api.CodeBadInput, limit: s.cfg.MaxDesignCandidates,
 			err: fmt.Errorf("%w: design space of %d candidates exceeds the limit of %d (GET /v1/limits)",
 				errBadRequest, len(run.SKUs), s.cfg.MaxDesignCandidates)}
 	}
-	plan := &designPlan{run: run, dataset: d.name, ci: ci, popt: opt.Perf}
-	// The filtered space stands for the cpus and max_gpus filters, so
-	// requests that select the same candidates share one entry.
-	key := cacheKey("design", d.name, fmtCI(ci), strconv.FormatBool(req.IncludePaper),
-		fmt.Sprintf("%#v|%#v", sp, opt.Perf))
-	return plan, key, nil
+	return &designPlan{run: run, dataset: opt.Dataset, ci: opt.CI, popt: opt.Perf}, nil
 }
 
 // pointKey is one candidate's cache key: a candidate name encodes its
@@ -218,7 +229,19 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	plan, key, err := s.newDesignPlan(req)
+	opt, key, err := s.designOptions(req)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	mode := streamMode(r)
+	if mode == "" && s.ownsKey(r, key) {
+		if out, ok := s.cached(key); ok {
+			s.writeComputed(w, out, true)
+			return
+		}
+	}
+	plan, err := s.newDesignPlan(opt)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -226,7 +249,7 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	if s.maybeForward(w, r, key, body) {
 		return
 	}
-	if mode := streamMode(r); mode != "" {
+	if mode != "" {
 		s.streamDesign(w, r, plan, mode)
 		return
 	}

@@ -435,7 +435,11 @@ func TestDesignAuditChecksFrontier(t *testing.T) {
 		t.Fatalf("audited design requests recorded %d violations: %v", n, rec.Violations())
 	}
 
-	plan, _, err := s.newDesignPlan(api.DesignRequest{})
+	opt, _, err := s.designOptions(api.DesignRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.newDesignPlan(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,6 +469,75 @@ func TestDesignAuditChecksFrontier(t *testing.T) {
 	for _, inv := range []string{"design/frontier-carbon", "design/frontier-perf", "design/frontier-density"} {
 		if counts[inv] == 0 {
 			t.Errorf("poisoned frontier point did not trip %s (counts: %v)", inv, counts)
+		}
+	}
+}
+
+// TestDesignCachedHitSkipsEnumeration pins the cost of a cached
+// buffered /v1/design reply over the default 879-candidate space: the
+// whole-request key comes from the validated filters, so a hit
+// enumerates no candidates. Enumerating and rack-checking them costs
+// thousands of allocations; the hit's budget is the HTTP round trip
+// and the JSON decode.
+func TestDesignCachedHitSkipsEnumeration(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	const body = `{"include_paper":true}`
+	var req api.DesignRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	_, key, err := s.designOptions(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seed the cache instead of evaluating the whole default space.
+	reply := []byte(`{"dataset":"open-source"}` + "\n")
+	s.cache.put(key, reply)
+	check := func() {
+		w := post(t, h, "/v1/design", body)
+		if w.Code != http.StatusOK || w.Header().Get(api.HeaderCache) != "hit" || w.Body.String() != string(reply) {
+			t.Fatalf("status %d, X-Cache %q, body %q: want the cached reply", w.Code, w.Header().Get(api.HeaderCache), w.Body)
+		}
+	}
+	check()
+	// ~120 on Go 1.24; the enumeration it skips costs ~6,500.
+	if allocs := testing.AllocsPerRun(20, check); allocs > 300 {
+		t.Errorf("a cached /v1/design hit allocates %.0f times, want at most 300", allocs)
+	}
+}
+
+// TestDesignErrorsUnchangedByCache pins the error replies of invalid
+// /v1/design requests, byte for byte, with the result cache cold and
+// warm: filter errors come from the key's validation, and the
+// candidate-limit errors from enumerating on a miss.
+func TestDesignErrorsUnchangedByCache(t *testing.T) {
+	cfg := tinyDesignConfig()
+	cfg.MaxDesignCandidates = 4
+	s := newTestServer(t, cfg)
+	h := s.Handler()
+	cases := []struct{ body, want string }{
+		{`{"cpus":["Pentium"]}`, `{"error":{"code":"bad_input","message":"server: bad request: cpu \"Pentium\" is not in the design space"}}`},
+		{`{"max_gpus":-1}`, `{"error":{"code":"bad_input","message":"server: bad request: negative max_gpus -1"}}`},
+		{`{"dataset":"secret"}`, `{"error":{"code":"unknown_dataset","message":"server: bad request: dataset \"secret\" (see GET /v1/datasets)"}}`},
+		{`{"ci":-0.2}`, `{"error":{"code":"bad_input","message":"server: bad request: negative carbon intensity -0.2"}}`},
+		{`{"ci":5000}`, `{"error":{"code":"bad_input","message":"server: bad request: carbon intensity 5000 exceeds the evaluable bound of 1000 kgCO2e/kWh"}}`},
+		{`{"include_paper":true}`, `{"error":{"code":"bad_input","message":"server: bad request: design space of 9 candidates exceeds the limit of 4 (GET /v1/limits)","limit":4}}`},
+		{`{"cpus":["Bergamo"],"max_gpus":2}`, `{"error":{"code":"bad_input","message":"server: bad request: design space of 6 candidates exceeds the limit of 4 (GET /v1/limits)","limit":4}}`},
+	}
+	for _, warm := range []bool{false, true} {
+		if warm {
+			for _, body := range []string{`{}`, `{"cpus":["Bergamo"]}`} {
+				if w := post(t, h, "/v1/design", body); w.Code != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", body, w.Code, w.Body)
+				}
+			}
+		}
+		for _, tc := range cases {
+			w := post(t, h, "/v1/design", tc.body)
+			if w.Code != http.StatusBadRequest || w.Body.String() != tc.want+"\n" {
+				t.Errorf("warm=%v %s: status %d, body %s; want 400, %s", warm, tc.body, w.Code, w.Body, tc.want)
+			}
 		}
 	}
 }

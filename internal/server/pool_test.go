@@ -13,20 +13,23 @@ func TestPoolRunsSubmittedWork(t *testing.T) {
 	defer p.close()
 	var ran atomic.Int64
 	done := make(chan struct{}, 32)
+	task := func() {
+		ran.Add(1)
+		done <- struct{}{}
+	}
 	for i := 0; i < 32; i++ {
-		err := p.submit(context.Background(), func() {
-			ran.Add(1)
-			done <- struct{}{}
-		})
-		if err != nil {
-			// Queue can legitimately fill; drain one completion and retry.
-			<-done
-			if err := p.submit(context.Background(), func() {
-				ran.Add(1)
-				done <- struct{}{}
-			}); err != nil {
-				t.Fatalf("resubmit failed: %v", err)
+		// The queue can legitimately fill; wait for a completion and
+		// retry. A task signals before its worker takes the next queued
+		// one, so a single wait need not have freed a slot yet.
+		for {
+			err := p.submit(context.Background(), task)
+			if err == nil {
+				break
 			}
+			if !errors.Is(err, ErrQueueFull) {
+				t.Fatalf("submit failed: %v", err)
+			}
+			<-done
 		}
 	}
 	deadline := time.After(5 * time.Second)

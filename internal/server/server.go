@@ -357,6 +357,16 @@ func cacheKey(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// cached looks key up in the result cache and counts a hit; a miss is
+// left for compute to count.
+func (s *Server) cached(key string) ([]byte, bool) {
+	body, ok := s.cache.get(key)
+	if ok {
+		s.metrics.CacheHits.inc()
+	}
+	return body, ok
+}
+
 // compute serves one deterministic computation: result cache, then
 // singleflight dedup, then the bounded pool. It returns the response
 // body and whether it came from the cache.
@@ -364,8 +374,7 @@ func (s *Server) compute(ctx context.Context, key string, fn func() ([]byte, err
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
-	if body, ok := s.cache.get(key); ok {
-		s.metrics.CacheHits.inc()
+	if body, ok := s.cached(key); ok {
 		return body, true, nil
 	}
 	s.metrics.CacheMisses.inc()

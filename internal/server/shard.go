@@ -125,17 +125,20 @@ func isForwarded(r *http.Request) bool {
 	return r.Header.Get(api.HeaderForwarded) != ""
 }
 
+// ownsKey reports whether this replica serves key itself: it is not
+// sharded, the request was forwarded to it, or it owns key.
+func (s *Server) ownsKey(r *http.Request, key string) bool {
+	return s.ring == nil || isForwarded(r) || s.ring.owner(key) == s.ring.self
+}
+
 // maybeForward proxies a single-endpoint request to the replica owning
 // its cache key. Returns true when the response has been written. A
 // transport failure falls back to local computation (returns false).
 func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, key string, body []byte) bool {
-	if s.ring == nil || isForwarded(r) {
+	if s.ownsKey(r, key) {
 		return false
 	}
 	owner := s.ring.owner(key)
-	if owner == s.ring.self {
-		return false
-	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner+r.URL.Path, bytes.NewReader(body))
 	if err != nil {
 		return false

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -88,6 +89,52 @@ func TestSummariseMatchesSortSlice(t *testing.T) {
 	}
 	if ties == 0 {
 		t.Fatal("no trace has equal-time arrivals")
+	}
+}
+
+// TestSummariseMergePaths pins which sweep each kind of trace takes:
+// continuous-time traces have no ties, so the merge of the separately
+// sorted edges is their one sorted order; a trace whose tied edges all
+// carry equal memory also stays on the merge; a tie with different
+// memory falls back to the joint sort. Every path matches the
+// sort.Slice sweep bit for bit.
+func TestSummariseMergePaths(t *testing.T) {
+	suite, err := ProductionSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMemTies := tiedTrace(t, 5, 1)
+	for i := range sameMemTies.VMs {
+		v := &sameMemTies.VMs[i]
+		v.Memory = units.GB(8 * v.Cores)
+	}
+	for _, tc := range []struct {
+		tr     Trace
+		merged bool
+	}{
+		{suite[0], true},
+		{suite[len(suite)-1], true},
+		{sameMemTies, true},
+		{tiedTrace(t, 1, 0.25), false},
+	} {
+		n := len(tc.tr.VMs)
+		arrivals, departures := make([]demandEvent, n), make([]demandEvent, n)
+		for i, v := range tc.tr.VMs {
+			arrivals[i] = demandEvent{v.Arrive, v.Cores, float64(v.Memory)}
+			departures[i] = demandEvent{v.Depart, -v.Cores, -float64(v.Memory)}
+		}
+		slices.SortFunc(arrivals, cmpDemand)
+		slices.SortFunc(departures, cmpDemand)
+		var pk peakSweep
+		if got := pk.sweepMerged(arrivals, departures); got != tc.merged {
+			t.Errorf("%s: merged sweep %v, want %v", tc.tr.Name, got, tc.merged)
+		}
+		got := Summarise(tc.tr)
+		cores, mem := summariseSortSlice(tc.tr)
+		if got.PeakCoreDmd != cores || math.Float64bits(float64(got.PeakMemoryDmd)) != math.Float64bits(float64(mem)) {
+			t.Errorf("%s: Summarise peaks (%d cores, %v GB), sort.Slice sweep (%d cores, %v GB)",
+				tc.tr.Name, got.PeakCoreDmd, got.PeakMemoryDmd, cores, mem)
+		}
 	}
 }
 

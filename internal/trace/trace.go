@@ -367,6 +367,49 @@ func cmpDemand(a, b demandEvent) int {
 	return cmp.Compare(a.cores, b.cores)
 }
 
+// peakSweep tracks running and peak demand over a sweep of edges.
+type peakSweep struct {
+	cores, peakCores int
+	mem, peakMem     float64
+}
+
+func (p *peakSweep) add(e demandEvent) {
+	p.cores += e.cores
+	p.mem += e.mem
+	if p.cores > p.peakCores {
+		p.peakCores = p.cores
+	}
+	if p.mem > p.peakMem {
+		p.peakMem = p.mem
+	}
+}
+
+// sweepMerged sweeps the merge of sorted arrivals and departures. It
+// stops and reports false when the merge is not strictly ordered:
+// two edges tie under cmpDemand with different memory, or a time is
+// NaN. Sorting all edges together then fixes their order.
+func (p *peakSweep) sweepMerged(arrivals, departures []demandEvent) bool {
+	var prev demandEvent
+	for a, d := 0, 0; a < len(arrivals) || d < len(departures); {
+		var e demandEvent
+		if a == len(arrivals) || (d < len(departures) && cmpDemand(departures[d], arrivals[a]) <= 0) {
+			e = departures[d]
+			d++
+		} else {
+			e = arrivals[a]
+			a++
+		}
+		if a+d > 1 {
+			if c := cmpDemand(prev, e); c > 0 || c == 0 && prev.mem != e.mem {
+				return false
+			}
+		}
+		p.add(e)
+		prev = e
+	}
+	return true
+}
+
 // eventPool recycles Summarise's event buffer: the 35-trace suite
 // summarises tens of thousands of VMs per call, and the 2-events-per-VM
 // scratch slice is pure garbage between calls.
@@ -374,20 +417,31 @@ var eventPool sync.Pool
 
 // Summarise computes trace statistics, including peak concurrent
 // demand (the lower bound for any cluster that hosts the trace).
+//
+// The peak sweep visits every arrival and departure edge in cmpDemand
+// order. Arrivals and departures are sorted apart and merged: trace
+// order already sorts the arrivals, so their sort is near-linear, and
+// only the departures need a full sort. The merge is the one order
+// cmpDemand admits unless two edges tie with different memory; only
+// then does the order within the tie move the memory peak's last bits,
+// and the edges are sorted together as the reference sweep sorts them
+// (TestSummariseMatchesSortSlice).
 func Summarise(t Trace) Stats {
 	var s Stats
-	s.VMs = len(t.VMs)
+	n := len(t.VMs)
+	s.VMs = n
 	var events []demandEvent
-	if p, _ := eventPool.Get().(*[]demandEvent); p != nil && cap(*p) >= 2*len(t.VMs) {
-		events = (*p)[:0]
+	if p, _ := eventPool.Get().(*[]demandEvent); p != nil && cap(*p) >= 2*n {
+		events = (*p)[:2*n]
 	} else {
-		events = make([]demandEvent, 0, 2*len(t.VMs))
+		events = make([]demandEvent, 2*n)
 	}
 	defer func() {
 		events = events[:0]
 		eventPool.Put(&events)
 	}()
-	for _, v := range t.VMs {
+	arrivals, departures := events[:n], events[n:]
+	for i, v := range t.VMs {
 		s.MeanCores += float64(v.Cores)
 		s.MeanMemoryGB += float64(v.Memory)
 		s.MeanLifetime += v.Lifetime()
@@ -398,8 +452,8 @@ func Summarise(t Trace) Stats {
 		if v.Deferrable {
 			s.DeferrableVMs++
 		}
-		events = append(events, demandEvent{v.Arrive, v.Cores, float64(v.Memory)},
-			demandEvent{v.Depart, -v.Cores, -float64(v.Memory)})
+		arrivals[i] = demandEvent{v.Arrive, v.Cores, float64(v.Memory)}
+		departures[i] = demandEvent{v.Depart, -v.Cores, -float64(v.Memory)}
 	}
 	if s.VMs > 0 {
 		n := float64(s.VMs)
@@ -408,18 +462,20 @@ func Summarise(t Trace) Stats {
 		s.MeanLifetime /= n
 		s.MeanMaxMem /= n
 	}
-	slices.SortFunc(events, cmpDemand)
-	var cores int
-	var mem float64
-	for _, e := range events {
-		cores += e.cores
-		mem += e.mem
-		if cores > s.PeakCoreDmd {
-			s.PeakCoreDmd = cores
+	slices.SortFunc(arrivals, cmpDemand)
+	slices.SortFunc(departures, cmpDemand)
+	var pk peakSweep
+	if !pk.sweepMerged(arrivals, departures) {
+		for i, v := range t.VMs {
+			events[2*i] = demandEvent{v.Arrive, v.Cores, float64(v.Memory)}
+			events[2*i+1] = demandEvent{v.Depart, -v.Cores, -float64(v.Memory)}
 		}
-		if units.GB(mem) > s.PeakMemoryDmd {
-			s.PeakMemoryDmd = units.GB(mem)
+		slices.SortFunc(events, cmpDemand)
+		pk = peakSweep{}
+		for _, e := range events {
+			pk.add(e)
 		}
 	}
+	s.PeakCoreDmd, s.PeakMemoryDmd = pk.peakCores, units.GB(pk.peakMem)
 	return s
 }
