@@ -22,6 +22,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"sync"
 
 	"github.com/greensku/gsf/internal/experiments"
 	"github.com/greensku/gsf/internal/hw"
@@ -107,14 +108,14 @@ var registry = map[string]runner{
 		return err
 	},
 	"fig9": func(w io.Writer, quick bool) error {
-		r, err := packing(quick)
+		r, err := packing[quick]()
 		if err != nil {
 			return err
 		}
 		return r.RenderFig9(w)
 	},
 	"fig10": func(w io.Writer, quick bool) error {
-		r, err := packing(quick)
+		r, err := packing[quick]()
 		if err != nil {
 			return err
 		}
@@ -237,12 +238,17 @@ var registry = map[string]runner{
 	},
 }
 
-func packing(quick bool) (experiments.PackingResult, error) {
-	opt := experiments.DefaultPackingOptions()
-	if quick {
+// packing runs the Fig. 9/10 study at most once per process for each
+// quick setting: fig9 and fig10 render the same result.
+var packing = map[bool]func() (experiments.PackingResult, error){
+	false: sync.OnceValues(func() (experiments.PackingResult, error) {
+		return experiments.Packing(experiments.DefaultPackingOptions())
+	}),
+	true: sync.OnceValues(func() (experiments.PackingResult, error) {
+		opt := experiments.DefaultPackingOptions()
 		opt.Traces = 8
-	}
-	return experiments.Packing(opt)
+		return experiments.Packing(opt)
+	}),
 }
 
 func sweepOpt(dataset string, quick bool) experiments.CISweepOptions {

@@ -8,7 +8,8 @@ package main
 // below, a restatement of perf's per-cell scaling loop: the fast arm
 // with the oracle's fast sampler, memoized and parallel like the batch
 // arm; the reference arm with its reference sampler, serial and
-// unmemoized, approximating the pre-optimization kernel. The suite
+// unmemoized, approximating the pre-optimization kernel. The suite also
+// times the adaptive knee search and the Figs. 7–8 saturation curve. It
 // lives here rather than in internal/experiments so that no production
 // package imports the oracle.
 
@@ -16,12 +17,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"github.com/greensku/gsf/internal/apps"
 	"github.com/greensku/gsf/internal/engine"
-	"github.com/greensku/gsf/internal/experiments"
 	"github.com/greensku/gsf/internal/hw"
 	"github.com/greensku/gsf/internal/oracle"
 	"github.com/greensku/gsf/internal/perf"
@@ -50,20 +49,34 @@ type queueKernelBenchResult struct {
 	// over the scalar loop with the same samplers. Speedup is
 	// reference/fast, what the fast samplers and single-sort summary
 	// buy, and CumulativeSpeedup is reference/batch.
-	BatchSpeedup      float64         `json:"batch_speedup"`
-	Speedup           float64         `json:"speedup"`
-	CumulativeSpeedup float64         `json:"cumulative_speedup"`
-	FactorsIdentical  bool            `json:"factors_identical"`
-	SLOCacheHits      int64           `json:"slo_cache_hits"`
-	SLOCacheMisses    int64           `json:"slo_cache_misses"`
-	Knee              kneeBenchResult `json:"knee"`
+	BatchSpeedup      float64          `json:"batch_speedup"`
+	Speedup           float64          `json:"speedup"`
+	CumulativeSpeedup float64          `json:"cumulative_speedup"`
+	FactorsIdentical  bool             `json:"factors_identical"`
+	SLOCacheHits      int64            `json:"slo_cache_hits"`
+	SLOCacheMisses    int64            `json:"slo_cache_misses"`
+	Knee              kneeBenchResult  `json:"knee"`
+	Curve             curveBenchResult `json:"curve"`
 }
 
-// queueArtifact is the BENCH_queue.json schema.
-type queueArtifact struct {
-	Schema string                 `json:"schema"`
-	Kernel queueKernelBenchResult `json:"kernel"`
+// curveBenchResult times the queueing saturation curve behind
+// Figs. 7–8.
+type curveBenchResult struct {
+	Servers int          `json:"servers"`
+	Steps   int          `json:"steps"`
+	Seconds float64      `json:"seconds"`
+	Points  []curvePoint `json:"points"`
 }
+
+// curvePoint is one measured point of the saturation curve.
+type curvePoint struct {
+	QPS       float64 `json:"qps"`
+	P95       float64 `json:"p95_seconds"`
+	Saturated bool    `json:"saturated"`
+}
+
+// The saturation curve's queue parallelism and load points.
+const curveServers, curveSteps = 64, 8
 
 // factorMatrix is one green SKU's Table III: app → generation → factor.
 type factorMatrix = map[string]map[int]perf.Factor
@@ -242,10 +255,36 @@ func queueKernelBench(ctx context.Context, requests int, seed uint64) (queueKern
 	return res, nil
 }
 
-func runQueue(ctx context.Context, qout string, queueMinSpeedup, queueMinBatchSpeedup, queueMinCumulative float64, qRequests int, seed uint64) error {
-	kernel, err := queueKernelBench(ctx, qRequests, seed)
+// curveBench sweeps offered load from half to past the queue's
+// theoretical capacity in steps points (the Figs. 7–8 protocol) and
+// times the sweep.
+func curveBench(steps int, seed uint64) (curveBenchResult, error) {
+	start := time.Now()
+	pts, err := queueing.Curve(curveServers, queueing.LogNormal{MeanSeconds: 0.005, CV: 1.5}, 0.5, 1.1, steps, seed)
 	if err != nil {
-		return err
+		return curveBenchResult{}, err
+	}
+	res := curveBenchResult{Servers: curveServers, Steps: steps, Seconds: time.Since(start).Seconds()}
+	for _, p := range pts {
+		res.Points = append(res.Points, curvePoint{QPS: p.QPS, P95: p.P95, Saturated: p.Saturated})
+	}
+	return res, nil
+}
+
+// runQueue is the queue suite: it measures, prints and gates. -quick
+// shortens every simulation to 4,000 requests and the curve to 4
+// points.
+func runQueue(ctx context.Context, opt options) (any, error) {
+	requests, steps := 0, curveSteps
+	if opt.quick {
+		requests, steps = 4000, 4
+	}
+	kernel, err := queueKernelBench(ctx, requests, opt.seed)
+	if err != nil {
+		return nil, err
+	}
+	if kernel.Curve, err = curveBench(steps, opt.seed); err != nil {
+		return nil, err
 	}
 	fmt.Printf("queue kernel: TableIII over %d SKUs, %d cells, %d requests/run\n",
 		len(kernel.SKUs), kernel.Cells, kernel.Requests)
@@ -256,23 +295,19 @@ func runQueue(ctx context.Context, qout string, queueMinSpeedup, queueMinBatchSp
 	fmt.Printf("  cumulative %7.2fx   factors-identical: %v\n", kernel.CumulativeSpeedup, kernel.FactorsIdentical)
 	fmt.Printf("  knee search: frac %.3f in %d evals (fixed-step: %d) %.3fs\n",
 		kernel.Knee.KneeFrac, kernel.Knee.Evals, kernel.Knee.FixedStepEvals, kernel.Knee.Seconds)
-
-	art := queueArtifact{Schema: experiments.BenchSchema, Kernel: kernel}
-	if err := writeTo(qout, func(f *os.File) error { return experiments.WriteArtifact(f, art) }); err != nil {
-		return err
-	}
+	fmt.Printf("  saturation curve: %d servers, %d points in %.3fs\n", kernel.Curve.Servers, kernel.Curve.Steps, kernel.Curve.Seconds)
 
 	if !kernel.FactorsIdentical {
-		return fmt.Errorf("kernel arms produced different scaling factors — a fast path is wrong")
+		return kernel, fmt.Errorf("kernel arms produced different scaling factors — a fast path is wrong")
 	}
-	if queueMinSpeedup > 0 && kernel.Speedup < queueMinSpeedup {
-		return fmt.Errorf("queueing kernel speedup %.2fx below the %.2fx gate", kernel.Speedup, queueMinSpeedup)
+	if opt.queueMinSpeedup > 0 && kernel.Speedup < opt.queueMinSpeedup {
+		return kernel, fmt.Errorf("queueing kernel speedup %.2fx below the %.2fx gate", kernel.Speedup, opt.queueMinSpeedup)
 	}
-	if queueMinBatchSpeedup > 0 && kernel.BatchSpeedup < queueMinBatchSpeedup {
-		return fmt.Errorf("batched kernel speedup %.2fx below the %.2fx gate", kernel.BatchSpeedup, queueMinBatchSpeedup)
+	if opt.queueMinBatchSpeedup > 0 && kernel.BatchSpeedup < opt.queueMinBatchSpeedup {
+		return kernel, fmt.Errorf("batched kernel speedup %.2fx below the %.2fx gate", kernel.BatchSpeedup, opt.queueMinBatchSpeedup)
 	}
-	if queueMinCumulative > 0 && kernel.CumulativeSpeedup < queueMinCumulative {
-		return fmt.Errorf("cumulative kernel speedup %.2fx below the %.2fx gate", kernel.CumulativeSpeedup, queueMinCumulative)
+	if opt.queueMinCumulative > 0 && kernel.CumulativeSpeedup < opt.queueMinCumulative {
+		return kernel, fmt.Errorf("cumulative kernel speedup %.2fx below the %.2fx gate", kernel.CumulativeSpeedup, opt.queueMinCumulative)
 	}
-	return nil
+	return kernel, nil
 }

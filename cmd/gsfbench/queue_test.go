@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -56,5 +57,36 @@ func TestQueueKernelBenchSmall(t *testing.T) {
 	}
 	if res.Knee.Servers != 64 || res.Knee.Evals == 0 || res.Knee.Evals >= res.Knee.FixedStepEvals {
 		t.Fatalf("knee row: %+v", res.Knee)
+	}
+}
+
+// TestQueueBenchAndArtifactRoundTrip checks the saturation curve's
+// shape and that the queue suite's result survives the gsf-bench/v2
+// artifact.
+func TestQueueBenchAndArtifactRoundTrip(t *testing.T) {
+	q, err := curveBench(3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Servers != curveServers || q.Steps != 3 || len(q.Points) != 3 {
+		t.Fatalf("want 3 curve points at %d servers, got %+v", curveServers, q)
+	}
+	for i := 1; i < len(q.Points); i++ {
+		if q.Points[i].QPS <= q.Points[i-1].QPS {
+			t.Fatalf("curve QPS not increasing: %+v", q.Points)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "BENCH_queue.json")
+	if err := writeArtifact(path, "queue", queueKernelBenchResult{FactorsIdentical: true, Curve: q}); err != nil {
+		t.Fatal(err)
+	}
+	var back queueKernelBenchResult
+	schema, suite := readArtifact(t, path, &back)
+	if schema != "gsf-bench/v2" || suite != "queue" {
+		t.Fatalf("schema %q, suite %q", schema, suite)
+	}
+	if !reflect.DeepEqual(back.Curve, q) || !back.FactorsIdentical {
+		t.Fatalf("round trip lost fields: %+v", back)
 	}
 }

@@ -38,14 +38,24 @@ func WriteArtifactsContext(ctx context.Context, dir string, quick bool) ([]strin
 		return nil, err
 	}
 	var written []string
+	writeCSV := func(name string, header []string, rows [][]string) error {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		err = report.WriteCSV(f, header, rows)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			written = append(written, path)
+		}
+		return err
+	}
 
 	// Table_VIII.csv: the savings columns under the open dataset.
 	rows, err := SavingsTable("open-source")
-	if err != nil {
-		return nil, err
-	}
-	tablePath := filepath.Join(dir, "Table_VIII.csv")
-	f, err := os.Create(tablePath)
 	if err != nil {
 		return nil, err
 	}
@@ -58,14 +68,9 @@ func WriteArtifactsContext(ctx context.Context, dir string, quick bool) ([]strin
 			fmt.Sprintf("%.3f", r.Total),
 		})
 	}
-	err = report.WriteCSV(f, []string{"sku", "operational_savings", "embodied_savings", "total_savings"}, csvRows)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := writeCSV("Table_VIII.csv", []string{"sku", "operational_savings", "embodied_savings", "total_savings"}, csvRows); err != nil {
 		return nil, err
 	}
-	written = append(written, tablePath)
 
 	// Figure_12.csv + savings summaries from the open-data CI sweep.
 	opt := DefaultCISweepOptions("open-source")
@@ -73,11 +78,6 @@ func WriteArtifactsContext(ctx context.Context, dir string, quick bool) ([]strin
 		opt.CIs = opt.CIs[:4]
 	}
 	sweep, err := CISweepContext(ctx, opt)
-	if err != nil {
-		return nil, err
-	}
-	figPath := filepath.Join(dir, "Figure_12.csv")
-	f, err = os.Create(figPath)
 	if err != nil {
 		return nil, err
 	}
@@ -91,14 +91,9 @@ func WriteArtifactsContext(ctx context.Context, dir string, quick bool) ([]strin
 			fmt.Sprintf("%.4f", sweep.Savings["GreenSKU-Full"][i]),
 		})
 	}
-	err = report.WriteCSV(f, header, figRows)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := writeCSV("Figure_12.csv", header, figRows); err != nil {
 		return nil, err
 	}
-	written = append(written, figPath)
 
 	clusterPath := filepath.Join(dir, "cluster_savings.txt")
 	msg := fmt.Sprintf("average cluster-level savings: %.1f%% (artifact reports 14%%)\n",
@@ -125,20 +120,10 @@ func WriteArtifactsContext(ctx context.Context, dir string, quick bool) ([]strin
 	if err != nil {
 		return nil, err
 	}
-	dynPath := filepath.Join(dir, "Dynamic_CI.csv")
-	f, err = os.Create(dynPath)
-	if err != nil {
-		return nil, err
-	}
 	dynHeader, dynRows := dyn.CSVRows()
-	err = report.WriteCSV(f, dynHeader, dynRows)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := writeCSV("Dynamic_CI.csv", dynHeader, dynRows); err != nil {
 		return nil, err
 	}
-	written = append(written, dynPath)
 
 	// Frontier.csv: the design-space search with the paper's five SKUs
 	// classified against the frontier.
@@ -150,19 +135,9 @@ func WriteArtifactsContext(ctx context.Context, dir string, quick bool) ([]strin
 	if err != nil {
 		return nil, err
 	}
-	frontPath := filepath.Join(dir, "Frontier.csv")
-	f, err = os.Create(frontPath)
-	if err != nil {
-		return nil, err
-	}
 	frontHeader, frontRows := front.CSVRows()
-	err = report.WriteCSV(f, frontHeader, frontRows)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := writeCSV("Frontier.csv", frontHeader, frontRows); err != nil {
 		return nil, err
 	}
-	written = append(written, frontPath)
 	return written, nil
 }

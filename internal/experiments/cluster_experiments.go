@@ -170,23 +170,7 @@ func NewSizerContext(ctx context.Context, dataset string, green hw.SKU) (*cluste
 	if err != nil {
 		return nil, err
 	}
-	factors, err := perf.TableIIIContext(ctx, green, perf.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	greenPC, err := m.PerCore(green, d.DefaultCI)
-	if err != nil {
-		return nil, err
-	}
-	basePC := map[int]carbon.PerCore{}
-	for gen := 1; gen <= 3; gen++ {
-		pc, err := m.PerCore(hw.BaselineForGeneration(gen), d.DefaultCI)
-		if err != nil {
-			return nil, err
-		}
-		basePC[gen] = pc
-	}
-	table, err := adoption.Build(factors, greenPC, basePC)
+	table, err := adoptionTable(ctx, m, green)
 	if err != nil {
 		return nil, err
 	}
@@ -197,6 +181,30 @@ func NewSizerContext(ctx context.Context, dataset string, green hw.SKU) (*cluste
 		Policy: alloc.BestFit,
 		Decide: table.Decider(),
 	}, nil
+}
+
+// adoptionTable builds the adoption component's per-VM directives for
+// green against the Gen1–3 baselines: perf supplies the Table III
+// scaling factors, and m the per-core emissions at its dataset's
+// default carbon intensity.
+func adoptionTable(ctx context.Context, m *carbon.Model, green hw.SKU) (adoption.Table, error) {
+	factors, err := perf.TableIIIContext(ctx, green, perf.DefaultOptions())
+	if err != nil {
+		return adoption.Table{}, err
+	}
+	greenPC, err := m.PerCore(green, m.Data.DefaultCI)
+	if err != nil {
+		return adoption.Table{}, err
+	}
+	basePC := map[int]carbon.PerCore{}
+	for gen := 1; gen <= 3; gen++ {
+		pc, err := m.PerCore(hw.BaselineForGeneration(gen), m.Data.DefaultCI)
+		if err != nil {
+			return adoption.Table{}, err
+		}
+		basePC[gen] = pc
+	}
+	return adoption.Build(factors, greenPC, basePC)
 }
 
 // RenderFig9 writes the packing-density CDFs.

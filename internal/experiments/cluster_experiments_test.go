@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/greensku/gsf/internal/stats"
 	"github.com/greensku/gsf/internal/units"
 )
 
@@ -46,6 +49,51 @@ func TestPackingSmall(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "CDF") {
 		t.Error("packing render missing CDF output")
+	}
+}
+
+// TestPacking35Traces pins Figs. 9–10 on the default 35-trace study to
+// the values EXPERIMENTS.md prints, and to the paper's direction: the
+// baseline packs cores tighter, the GreenSKU packs memory tighter, and
+// local DDR5 holds almost all touched memory.
+func TestPacking35Traces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the 35-trace packing study takes several seconds")
+	}
+	r, err := Packing(DefaultPackingOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.PerTrace) != 35 {
+		t.Fatalf("got %d traces, want 35", len(r.PerTrace))
+	}
+	baseCore, greenCore := stats.Mean(r.BaseCore), stats.Mean(r.GreenCore)
+	baseMem, greenMem := stats.Mean(r.BaseMem), stats.Mean(r.GreenMem)
+	for _, c := range []struct {
+		name, format string
+		got          float64
+		want         string
+	}{
+		{"Fig. 9 mean baseline core packing", "%.3f", baseCore, "0.944"},
+		{"Fig. 9 mean GreenSKU core packing", "%.3f", greenCore, "0.928"},
+		{"Fig. 9 mean baseline memory packing", "%.3f", baseMem, "0.626"},
+		{"Fig. 9 mean GreenSKU memory packing", "%.3f", greenMem, "0.697"},
+		{"Fig. 10 median baseline max memory utilisation", "%.2f", stats.Median(r.BaseMaxMem), "0.31"},
+		{"Fig. 10 median GreenSKU max memory utilisation", "%.2f", stats.Median(r.GreenMaxMem), "0.35"},
+		{"Fig. 10 largest GreenSKU max memory utilisation", "%.2f", slices.Max(r.GreenMaxMem), "0.41"},
+	} {
+		if got := fmt.Sprintf(c.format, c.got); got != c.want {
+			t.Errorf("%s = %s (%v), EXPERIMENTS.md prints %s", c.name, got, c.got, c.want)
+		}
+	}
+	if baseCore <= greenCore {
+		t.Errorf("baseline core packing %v should exceed the GreenSKU's %v", baseCore, greenCore)
+	}
+	if greenMem <= baseMem {
+		t.Errorf("GreenSKU memory packing %v should exceed the baseline's %v", greenMem, baseMem)
+	}
+	if r.LocalFit < 0.99 {
+		t.Errorf("local-DDR5 fit fraction = %v, want >= 0.99", r.LocalFit)
 	}
 }
 

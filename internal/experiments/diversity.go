@@ -21,7 +21,6 @@ import (
 	"github.com/greensku/gsf/internal/core"
 	"github.com/greensku/gsf/internal/engine"
 	"github.com/greensku/gsf/internal/hw"
-	"github.com/greensku/gsf/internal/perf"
 	"github.com/greensku/gsf/internal/report"
 	"github.com/greensku/gsf/internal/trace"
 )
@@ -56,26 +55,10 @@ func DiversityContext(ctx context.Context) (DiversityResult, error) {
 	full := hw.GreenSKUFull()
 	eff := hw.GreenSKUEfficient()
 
-	basePC := map[int]carbon.PerCore{}
-	for gen := 1; gen <= 3; gen++ {
-		pc, err := m.PerCore(hw.BaselineForGeneration(gen), d.DefaultCI)
-		if err != nil {
-			return out, err
-		}
-		basePC[gen] = pc
-	}
 	greens := []hw.SKU{full, eff} // ordered by per-core carbon: Full is greener
 	tables, err := engine.Collect(engine.Map(ctx, 0, len(greens),
 		func(ctx context.Context, i int) (adoption.Table, error) {
-			factors, err := perf.TableIIIContext(ctx, greens[i], perf.DefaultOptions())
-			if err != nil {
-				return adoption.Table{}, err
-			}
-			greenPC, err := m.PerCore(greens[i], d.DefaultCI)
-			if err != nil {
-				return adoption.Table{}, err
-			}
-			return adoption.Build(factors, greenPC, basePC)
+			return adoptionTable(ctx, m, greens[i])
 		}))
 	if err != nil {
 		return out, err
@@ -117,6 +100,10 @@ func DiversityContext(ctx context.Context) (DiversityResult, error) {
 	}
 
 	perCoreOf := func(sku hw.SKU) (carbon.PerCore, error) { return m.PerCore(sku, d.DefaultCI) }
+	basePC, err := perCoreOf(base)
+	if err != nil {
+		return out, err
+	}
 	fullPC, err := perCoreOf(full)
 	if err != nil {
 		return out, err
@@ -125,7 +112,7 @@ func DiversityContext(ctx context.Context) (DiversityResult, error) {
 	if err != nil {
 		return out, err
 	}
-	basePCIn := cluster.SavingsInput{Class: baseClass, PerCore: basePC[3]}
+	basePCIn := cluster.SavingsInput{Class: baseClass, PerCore: basePC}
 	out.SingleSavings = cluster.Savings(out.SingleMix, basePCIn,
 		cluster.SavingsInput{Class: greenClasses[0], PerCore: fullPC})
 	out.MultiSavings = cluster.MultiSavings(out.MultiMix, basePCIn, []cluster.SavingsInput{
