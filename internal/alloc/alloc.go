@@ -44,7 +44,10 @@ type Decision struct {
 	Scale float64
 }
 
-// Decider maps a VM to its placement directive.
+// Decider maps a VM to its placement directive. It must be safe for
+// concurrent use: cluster.Sizer calls it from two goroutines at once.
+// Every Decider in the tree is a pure function of the VM, and
+// adoption.Table.Decider only reads its map.
 type Decider func(trace.VM) Decision
 
 // AdoptAll places every non-full-node VM on GreenSKUs unscaled; useful

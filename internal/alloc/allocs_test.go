@@ -8,7 +8,9 @@ package alloc
 // testing.AllocsPerRun pins that at zero.
 
 import (
+	"container/heap"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/greensku/gsf/internal/trace"
@@ -81,6 +83,51 @@ func TestDepartureHeapOrdering(t *testing.T) {
 			t.Fatalf("heap popped %g after %g", d.at, prev)
 		}
 		prev = d.at
+	}
+}
+
+// refDeps is container/heap's view of a departure heap, the order the
+// oracle pops in.
+type refDeps []departure
+
+func (h refDeps) Len() int           { return len(h) }
+func (h refDeps) Less(i, j int) bool { return h[i].at < h[j].at }
+func (h refDeps) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refDeps) Push(x any)        { *h = append(*h, x.(departure)) }
+func (h *refDeps) Pop() any {
+	old := *h
+	d := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return d
+}
+
+// TestDepartureHeapMatchesContainerHeap interleaves pushes and pops of
+// departures drawn from a few distinct times, so most pops choose among
+// equal times, and requires the typed heap to pop the same departure
+// (by id) as container/heap every time.
+func TestDepartureHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 27))
+	var h depHeap
+	var ref refDeps
+	for i := 0; i < 20000; i++ {
+		if len(h) == 0 || rng.IntN(5) < 3 {
+			d := departure{at: float64(rng.IntN(4)), id: int32(i)}
+			depPush(&h, d)
+			heap.Push(&ref, d)
+			continue
+		}
+		got, want := depPop(&h), heap.Pop(&ref).(departure)
+		if got != want {
+			t.Fatalf("op %d: popped %+v, container/heap pops %+v", i, got, want)
+		}
+	}
+	for len(ref) > 0 {
+		if got, want := depPop(&h), heap.Pop(&ref).(departure); got != want {
+			t.Fatalf("drain: popped %+v, container/heap pops %+v", got, want)
+		}
+	}
+	if len(h) != 0 {
+		t.Fatalf("typed heap holds %d departures after container/heap drained", len(h))
 	}
 }
 

@@ -300,11 +300,14 @@ type departure struct {
 	pool       int32
 }
 
-// depHeap is a min-heap on .at with container/heap's sift moves
-// exactly (compare .at only, same swap pattern), so equal-time
-// departures pop in the order the oracle's container/heap pops them —
-// part of decision identity. Typed push/pop avoid boxing every
-// departure through an interface on the hot path.
+// depHeap is a min-heap on .at with container/heap's sift comparisons
+// exactly (compare .at only, same child choice, same stopping test),
+// so equal-time departures pop in the order the oracle's
+// container/heap pops them — part of decision identity. The sifts move
+// a hole instead of swapping: each level stores one departure, not
+// two, and the sifted one is stored once where it stops. Typed
+// push/pop avoid boxing every departure through an interface on the
+// hot path.
 type depHeap []departure
 
 func depPush(h *depHeap, d departure) {
@@ -313,42 +316,48 @@ func depPush(h *depHeap, d departure) {
 	i := len(hh) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if hh[parent].at <= hh[i].at {
+		if hh[parent].at <= d.at {
 			break
 		}
-		hh[parent], hh[i] = hh[i], hh[parent]
+		hh[i] = hh[parent]
 		i = parent
 	}
+	hh[i] = d
 }
 
 func depPop(h *depHeap) departure {
 	hh := *h
 	top := hh[0]
 	n := len(hh) - 1
-	hh[0] = hh[n]
+	last := hh[n]
 	hh[n] = departure{}
 	*h = hh[:n]
-	depSiftDown(hh[:n], 0)
+	if n > 0 {
+		depSiftDown(hh[:n], 0, last)
+	}
 	return top
 }
 
-func depSiftDown(h depHeap, i int) {
+// depSiftDown stores d in h, whose slot i is free, after moving the
+// free slot down past every child that departs before d.
+func depSiftDown(h depHeap, i int, d departure) {
 	n := len(h)
 	for {
 		l := 2*i + 1
 		if l >= n {
-			return
+			break
 		}
 		m := l
 		if r := l + 1; r < n && h[r].at < h[l].at {
 			m = r
 		}
-		if h[i].at <= h[m].at {
-			return
+		if d.at <= h[m].at {
+			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = d
 }
 
 // Sim is the streaming columnar simulator: feed arrivals with Step in

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/greensku/gsf/internal/alloc"
 	"github.com/greensku/gsf/internal/audit"
@@ -23,7 +24,8 @@ type Sizer struct {
 	Green  alloc.ServerClass
 	Policy alloc.Policy
 	// Decide is the adoption component's per-VM directive used when
-	// GreenSKUs are present.
+	// GreenSKUs are present. MixedSizeContext calls it from two
+	// goroutines at once, so it must be safe for concurrent use.
 	Decide alloc.Decider
 	// MaxServers caps the search (guards against unhostable traces).
 	MaxServers int
@@ -67,7 +69,7 @@ func (s *Sizer) probe(ctx context.Context, tr trace.Trace, nBase, nGreen int) (a
 	}
 	p, err := alloc.ProbeContext(ctx, tr, s.config(nBase, nGreen), s.Decide)
 	if testTamper != nil {
-		testTamper(&p)
+		testTamper(nBase, nGreen, &p)
 	}
 	return p, err
 }
@@ -82,10 +84,11 @@ func (s *Sizer) hosts(ctx context.Context, tr trace.Trace, nBase, nGreen int) (b
 	return alloc.HostsContext(ctx, tr, s.config(nBase, nGreen), s.Decide)
 }
 
-// testTamper, when non-nil, edits every probe record before the search
-// reads it. The canary test uses it to prove a wrong record is caught;
-// never set it outside a test.
-var testTamper func(*alloc.Probe)
+// testTamper, when non-nil, edits every probe record, given the pool
+// sizes replayed, before the search reads it. Canary tests use it to
+// prove a wrong record is caught; never set it outside a test. Both
+// sizing lanes call it.
+var testTamper func(nBase, nGreen int, p *alloc.Probe)
 
 // searchMin binary-searches [0, hi] for an n with ok(n) and, when
 // n > 0, !ok(n-1): the smallest such n when ok is monotone, which
@@ -177,10 +180,31 @@ func (s *Sizer) rightSizeBaseline(ctx context.Context, tr trace.Trace, hi int) (
 	if err != nil {
 		return 0, err
 	}
+	return s.searchBase(ctx, tr, top, hi, 0)
+}
+
+// searchBase finds the fewest baseline servers, at most hi, that host
+// the trace beside nGreen green servers. top is the replay at
+// (hi, nGreen).
+func (s *Sizer) searchBase(ctx context.Context, tr trace.Trace, top alloc.Probe, hi, nGreen int) (int, error) {
 	return s.searchRecorded(hi, top, top.BaseHosts, func(n int) (bool, bool, error) {
 		return top.ResumeBase(ctx, tr, n)
 	}, func(n int) (bool, error) {
-		return s.hosts(ctx, tr, n, 0)
+		return s.hosts(ctx, tr, n, nGreen)
+	})
+}
+
+// searchGreen finds the fewest green servers, at most greenCap, that
+// host the trace beside nBase baseline servers. top is a replay at
+// greenCap green servers whose baseline pool opened at most nBase
+// servers and was capped at no fewer (alloc.Probe.GreenHosts).
+func (s *Sizer) searchGreen(ctx context.Context, tr trace.Trace, top alloc.Probe, nBase, greenCap int) (int, error) {
+	return s.searchRecorded(greenCap, top, func(n int) (bool, bool) {
+		return top.GreenHosts(nBase, n)
+	}, func(n int) (bool, bool, error) {
+		return top.ResumeGreen(ctx, tr, nBase, n)
+	}, func(n int) (bool, error) {
+		return s.hosts(ctx, tr, nBase, n)
 	})
 }
 
@@ -200,60 +224,203 @@ func (s *Sizer) MixedSize(tr trace.Trace) (Mix, error) {
 }
 
 // MixedSizeContext is MixedSize with cancellation.
+//
+// The three searches run on two goroutines. Lane 2 replays the trace
+// once at (hi, greenCap) — the upper-bound replay U, whose baseline
+// pool opens kb servers — and runs the green search from U at
+// nBase = kb. Lane 1, the caller, right-sizes the baseline-only
+// cluster to n0, then runs the NBase search from U. A replay capped at
+// n >= kb baseline servers is U itself (alloc.Probe), so when U hosts
+// the trace and kb <= n0, U is the (n0, greenCap) replay the NBase
+// search needs; when NBase also equals kb, lane 2 ran exactly the green
+// search the serial order would run, and its answer is taken.
+// Otherwise lane 2 is cancelled and the searches run in order from
+// real replays. Either way the Mix is the serial search's, bit for
+// bit; audited, upperAt checks U against the real replays.
 func (s *Sizer) MixedSizeContext(ctx context.Context, tr trace.Trace) (Mix, error) {
 	var m Mix
 	if err := tr.Validate(); err != nil {
 		return m, err
 	}
-	// One bound serves both searches: the baseline-only size and the
+	// One bound serves every search: the baseline-only size and the
 	// green pool's cap.
 	hi := s.maxServers(tr)
-	n0, err := s.rightSizeBaseline(ctx, tr, hi)
-	if err != nil {
-		return m, err
-	}
-	m.BaselineOnly = n0
 	if s.Green.Cores == 0 {
-		m.NBase = n0
-		return m, nil
+		n0, err := s.rightSizeBaseline(ctx, tr, hi)
+		if err != nil {
+			return m, err
+		}
+		return Mix{BaselineOnly: n0, NBase: n0}, nil
 	}
 	// Plenty of green capacity while minimising baseline count. The
 	// green pool's offered stream does not depend on the baseline
 	// size (adopters try green first), so one replay at the upper
 	// bound answers the baseline probes.
 	greenCap := hi
-	top, err := s.probe(ctx, tr, n0, greenCap)
+	lane := s.startUpper(ctx, tr, hi, greenCap)
+	defer lane.stop()
+	n0, err := s.rightSizeBaseline(ctx, tr, hi)
 	if err != nil {
 		return m, err
 	}
-	m.NBase, err = s.searchRecorded(n0, top, top.BaseHosts, func(n int) (bool, bool, error) {
-		return top.ResumeBase(ctx, tr, n)
-	}, func(n int) (bool, error) {
-		return s.hosts(ctx, tr, n, greenCap)
-	})
+	m.BaselineOnly = n0
+	u, err := lane.upper()
 	if err != nil {
 		return m, err
 	}
-	// The upper-bound replay still describes the cluster with NBase
-	// baseline servers if it never opened more; otherwise replay once
-	// at (NBase, greenCap).
-	if m.NBase < len(top.BaseOpened) {
-		if top, err = s.probe(ctx, tr, m.NBase, greenCap); err != nil {
+	top, shared, err := s.upperAt(ctx, tr, u, n0, greenCap)
+	if err != nil {
+		return m, err
+	}
+	if m.NBase, err = s.searchBase(ctx, tr, top, n0, greenCap); err != nil {
+		return m, err
+	}
+	kb := len(u.BaseOpened)
+	if shared && m.NBase == kb && m.NBase != n0 {
+		// Unaudited this is U again; audited it checks U against the
+		// real replay at (NBase, greenCap).
+		if top, shared, err = s.upperAt(ctx, tr, u, m.NBase, greenCap); err != nil {
 			return m, err
 		}
 	}
-	m.NGreen, err = s.searchRecorded(greenCap, top, func(n int) (bool, bool) {
-		return top.GreenHosts(m.NBase, n)
-	}, func(n int) (bool, bool, error) {
-		return top.ResumeGreen(ctx, tr, m.NBase, n)
-	}, func(n int) (bool, error) {
-		return s.hosts(ctx, tr, m.NBase, n)
-	})
+	if shared && m.NBase == kb {
+		m.NGreen, err = lane.join()
+	} else {
+		lane.stop()
+		// The replay at (n0, greenCap) still describes the cluster with
+		// NBase baseline servers if it never opened more; otherwise
+		// replay once at (NBase, greenCap).
+		if m.NBase < len(top.BaseOpened) {
+			if top, err = s.probe(ctx, tr, m.NBase, greenCap); err != nil {
+				return m, err
+			}
+		}
+		m.NGreen, err = s.searchGreen(ctx, tr, top, m.NBase, greenCap)
+	}
 	if err != nil {
 		return m, err
 	}
 	s.auditMix(tr, m)
 	return m, nil
+}
+
+// upperAt returns the replay at (n, greenCap) for the NBase and green
+// searches. That is u, the replay at (hi, greenCap), when u hosts the
+// trace and its baseline pool opened at most n servers: capped at n it
+// never reaches the cap, so it replays identically (alloc.Probe).
+// shared reports that u was returned. Otherwise it replays at
+// (n, greenCap). Audited, it replays in both cases and reports a u
+// whose record differs from the real replay's as a
+// cluster/upper-bound-shared violation, returning the real replay.
+func (s *Sizer) upperAt(ctx context.Context, tr trace.Trace, u alloc.Probe, n, greenCap int) (top alloc.Probe, shared bool, err error) {
+	chk := audit.Resolve(s.Audit)
+	shared = u.Hosts && len(u.BaseOpened) <= n
+	if shared && chk == nil {
+		return u, true, nil
+	}
+	if top, err = s.probe(ctx, tr, n, greenCap); err != nil || !shared {
+		return top, false, err
+	}
+	if top.Hosts != u.Hosts || !slices.Equal(top.BaseOpened, u.BaseOpened) || !slices.Equal(top.GreenOpened, u.GreenOpened) {
+		audit.Failf(chk, "cluster", "upper-bound-shared",
+			"trace %s: the upper-bound replay (hosts=%v, %d baseline and %d green openings) differs from "+
+				"the replay at (%d, %d) it stands in for (hosts=%v, %d and %d openings)",
+			tr.Name, u.Hosts, len(u.BaseOpened), len(u.GreenOpened), n, greenCap,
+			top.Hosts, len(top.BaseOpened), len(top.GreenOpened))
+		return top, false, nil
+	}
+	return u, true, nil
+}
+
+// upperLane is lane 2 of MixedSizeContext: the upper-bound replay U
+// and the green search from it, on their own goroutine. Lane 1 reads
+// top and topErr once probed is closed, and nGreen and err once done
+// is closed. A panic in the lane is caught as a lanePanic error and
+// raised again on lane 1's goroutine.
+type upperLane struct {
+	cancel context.CancelFunc
+	probed chan struct{}
+	done   chan struct{}
+	top    alloc.Probe
+	topErr error
+	nGreen int
+	err    error
+}
+
+// startUpper starts lane 2: the replay at (hi, greenCap), then, if it
+// hosts the trace, the green search from it at its own baseline
+// high-water mark.
+func (s *Sizer) startUpper(ctx context.Context, tr trace.Trace, hi, greenCap int) *upperLane {
+	ctx, cancel := context.WithCancel(ctx)
+	l := &upperLane{cancel: cancel, probed: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(l.done)
+		l.topErr = catch(func() (err error) {
+			if testLane != nil {
+				testLane(ctx)
+			}
+			l.top, err = s.probe(ctx, tr, hi, greenCap)
+			return err
+		})
+		close(l.probed)
+		if l.topErr != nil || !l.top.Hosts {
+			return
+		}
+		l.err = catch(func() (err error) {
+			l.nGreen, err = s.searchGreen(ctx, tr, l.top, len(l.top.BaseOpened), greenCap)
+			return err
+		})
+	}()
+	return l
+}
+
+// upper waits for U.
+func (l *upperLane) upper() (alloc.Probe, error) {
+	<-l.probed
+	return l.top, raise(l.topErr)
+}
+
+// join waits for the lane's green search and returns its answer.
+func (l *upperLane) join() (int, error) {
+	<-l.done
+	return l.nGreen, raise(l.err)
+}
+
+// stop cancels the lane and waits for it to end, discarding its
+// answer. It is safe to call more than once.
+func (l *upperLane) stop() {
+	l.cancel()
+	<-l.done
+}
+
+// testLane, when non-nil, runs at the start of every lane 2 with the
+// lane's context. Tests use it to hold or panic the lane; never set it
+// outside a test.
+var testLane func(context.Context)
+
+// lanePanic carries a value recovered from a panic in lane 2.
+type lanePanic struct{ v any }
+
+func (p lanePanic) Error() string { return fmt.Sprint("cluster: panic in the upper-bound lane: ", p.v) }
+
+// catch runs f and returns its error, or a panic it raised as a
+// lanePanic.
+func catch(f func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = lanePanic{r}
+		}
+	}()
+	return f()
+}
+
+// raise panics with the value a lanePanic carries and returns any
+// other error.
+func raise(err error) error {
+	if p, ok := err.(lanePanic); ok {
+		panic(p.v)
+	}
+	return err
 }
 
 // auditMix verifies a sizing result: counts are non-negative, the mixed

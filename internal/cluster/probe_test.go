@@ -181,7 +181,7 @@ func TestProbeRecordCanary(t *testing.T) {
 	if n >= len(top.GreenOpened) || int(top.GreenOpened[n]) >= m.NBase {
 		t.Fatalf("trace opens green server %d forced or not at all (record %v); pick another", n, top.GreenOpened)
 	}
-	testTamper = func(p *alloc.Probe) {
+	testTamper = func(_, _ int, p *alloc.Probe) {
 		if n < len(p.GreenOpened) {
 			p.GreenOpened[n] = math.MaxInt32
 		}

@@ -50,7 +50,9 @@ type Framework struct {
 	Policy alloc.Policy
 	Fleet  fleet.Params
 	// Workers bounds the evaluation engine's parallelism for sweeps and
-	// batches; <= 0 means GOMAXPROCS.
+	// batches; <= 0 means GOMAXPROCS. Each evaluation sizes its cluster
+	// on at most two goroutines (cluster.Sizer.MixedSizeContext), with
+	// no knob, so a sweep sizes on up to 2*Workers.
 	Workers int
 	// Audit receives invariant violations from every component the
 	// pipeline runs; install it with SetAudit (or gsf.WithAudit) so the
