@@ -52,7 +52,7 @@ func TestQueueKernelBenchSmall(t *testing.T) {
 	if len(res.SKUs) != 3 || res.Cells != 180 || res.Requests != 3000 {
 		t.Fatalf("unexpected suite shape: %+v", res)
 	}
-	if res.BatchSeconds <= 0 || res.FastSeconds <= 0 || res.ReferenceSeconds <= 0 {
+	if res.BatchSeconds <= 0 || res.FastSeconds <= 0 || res.ReferenceSeconds <= 0 || len(res.BatchRuns) != batchReps {
 		t.Fatalf("timings not recorded: %+v", res)
 	}
 	if res.Knee.Servers != 64 || res.Knee.Evals == 0 || res.Knee.Evals >= res.Knee.FixedStepEvals {

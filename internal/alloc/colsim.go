@@ -31,14 +31,15 @@ package alloc
 //
 // The simulator (Sim) is the only replay loop, a push-style event
 // consumer: NewSim → Step per arrival → Finish at the horizon. It holds
-// one fleet per pool, the baseline first; NewSim builds one green
-// pool, and SimulateMulti (multi.go) any number. SimulateSource drives
-// it from any trace.Source, so a binary trace streams through without
-// ever materializing; snapshot.go checkpoints a single-green Sim
-// between Steps and restores it bit-identically. Decision identity
-// with the oracle's linear scan over all n servers — same placements,
-// same rejections, same Result bits — is proven by the differential
-// walls and cross-checked at runtime on every audited placement.
+// one fleet per pool, the baseline first, and one Decider per green
+// pool; NewSim builds one green pool, and MultiHostsContext (multi.go)
+// any number. SimulateSource drives it from any trace.Source, so a
+// binary trace streams through without ever materializing; snapshot.go
+// checkpoints a single-green Sim between Steps and restores it
+// bit-identically. Decision identity with the oracle's linear scan
+// over all n servers — same placements, same rejections, same Result
+// bits — is proven by the differential walls and cross-checked at
+// runtime on every audited placement.
 
 import (
 	"context"
@@ -364,15 +365,11 @@ func depSiftDown(h depHeap, i int, d departure) {
 // trace order, close with Finish. Between Steps its entire state is
 // flat data — Snapshot/Restore (snapshot.go) checkpoint it exactly.
 type Sim struct {
-	cfg    Config
-	decide Decider
-	// multi, when set, directs a multi-pool replay and decide is
-	// unused; one holds decide's directive as the one green pool's
-	// scale, so the single-green path allocates nothing per VM.
-	multi MultiDecider
-	one   [1]float64
-	chk   audit.Checker
-	name  string
+	cfg Config
+	// decide[g-1] directs green pool g; none is nil.
+	decide []Decider
+	chk    audit.Checker
+	name   string
 
 	// pools[0] is the baseline pool and pools[g] green pool g, in
 	// cluster order; a departure's pool number indexes it. aggs
@@ -401,7 +398,7 @@ func NewSim(name string, cfg Config, decide Decider) (*Sim, error) {
 	if decide == nil {
 		decide = AdoptNone
 	}
-	return newSim(name, cfg, pools, decide), nil
+	return newSim(name, cfg, pools, []Decider{decide}), nil
 }
 
 // checkPools validates a cluster's pools, pools[0] the baseline.
@@ -426,9 +423,10 @@ func checkPools(pools []Pool) error {
 	return nil
 }
 
-// newSim returns an empty simulator over validated pools. cfg supplies
-// the policy, snapshot interval and audit checker.
-func newSim(name string, cfg Config, pools []Pool, decide Decider) *Sim {
+// newSim returns an empty simulator over validated pools, with one
+// non-nil Decider per green pool. cfg supplies the policy, snapshot
+// interval and audit checker.
+func newSim(name string, cfg Config, pools []Pool, decide []Decider) *Sim {
 	snapEvery := cfg.SnapshotEvery
 	if snapEvery <= 0 {
 		snapEvery = 12
@@ -506,39 +504,26 @@ func (s *Sim) advance(vm trace.VM) error {
 	return nil
 }
 
-// scales returns the VM's directive over the green pools: entry g-1
-// governs green pool g (see scaleFor). A Decider is the one-green-pool
-// case.
-func (s *Sim) scales(vm trace.VM) []float64 {
-	if s.multi != nil {
-		return s.multi(vm).Scales
+// scale asks green pool g's Decider for the factor it scales the VM's
+// request by on that pool (at least 1), or 0 if it does not offer the
+// VM the pool.
+func (s *Sim) scale(g int, vm trace.VM) float64 {
+	if d := s.decide[g-1](vm); d.Adopt {
+		return max(d.Scale, 1)
 	}
-	s.one[0] = 0
-	if d := s.decide(vm); d.Adopt {
-		s.one[0] = max(d.Scale, 1)
-	}
-	return s.one[:]
-}
-
-// scaleFor returns the factor a directive scales a VM's request by on
-// green pool g (at least 1), or 0 if it does not offer the VM that
-// pool.
-func scaleFor(scales []float64, g int) float64 {
-	if g > len(scales) || scales[g-1] <= 0 {
-		return 0
-	}
-	return max(scales[g-1], 1)
+	return 0
 }
 
 // admit is the rest of Step: it places or rejects a VM that advance
 // has brought the simulator up to. Full-node VMs take the first empty
 // baseline server that fits a whole node; other VMs try each green
-// pool their directive offers, in order and scaled, then the baseline
-// unscaled. Until the placement itself admit only reads the
-// simulator's state, so a probe can clone the simulator at an opening
-// (recordOpening) and re-admit the same VM into the clone.
+// pool whose Decider offers it, in order and scaled, then the baseline
+// unscaled. A pool's Decider is asked only once the VM reaches that
+// pool, so full-node VMs ask none. Until the placement itself admit
+// only reads the simulator's state, so a probe can clone the simulator
+// at an opening (recordOpening) and re-admit the same VM into the
+// clone.
 func (s *Sim) admit(vm trace.VM) {
-	scales := s.scales(vm)
 	pool, placed := 0, nilNode
 	var cores, mem float64
 	if vm.FullNode {
@@ -550,7 +535,7 @@ func (s *Sim) admit(vm trace.VM) {
 		}
 	} else {
 		for g := 1; g < len(s.pools) && placed == nilNode; g++ {
-			if scale := scaleFor(scales, g); scale != 0 {
+			if scale := s.scale(g, vm); scale != 0 {
 				cores, mem = float64(vm.Cores)*scale, float64(vm.Memory)*scale
 				placed, pool = s.pickFrom(g, cores, mem), g
 			}
@@ -562,7 +547,7 @@ func (s *Sim) admit(vm trace.VM) {
 	}
 	if placed == nilNode {
 		if s.chk != nil {
-			s.auditRejection(vm, scales)
+			s.auditRejection(vm)
 		}
 		s.res.Rejected++
 		if vm.Deferrable {
@@ -647,7 +632,8 @@ func (s *Sim) auditFullNodePick(got int32) {
 
 // auditRejection verifies a rejection was genuine under the columnar
 // layout: no feasible server exists in any pool the VM was offered to.
-func (s *Sim) auditRejection(vm trace.VM, scales []float64) {
+// It asks the Deciders again, which are pure.
+func (s *Sim) auditRejection(vm trace.VM) {
 	base := &s.pools[0]
 	if vm.FullNode {
 		if base.firstWholeEmpty() != nilNode {
@@ -661,7 +647,7 @@ func (s *Sim) auditRejection(vm trace.VM, scales []float64) {
 			"VM %d (%dc/%gGB) rejected with feasible baseline server", vm.ID, vm.Cores, float64(vm.Memory))
 	}
 	for g := 1; g < len(s.pools); g++ {
-		scale := scaleFor(scales, g)
+		scale := s.scale(g, vm)
 		if scale == 0 {
 			continue
 		}

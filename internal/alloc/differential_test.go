@@ -66,14 +66,14 @@ func sameResult(a, b Result) bool {
 		sameClassStats(a.Base, b.Base) && sameClassStats(a.Green, b.Green)
 }
 
-// sameMulti compares two MultiResults bit for bit.
-func sameMulti(a, b MultiResult) bool {
-	if a.Placed != b.Placed || a.Rejected != b.Rejected || a.Snapshots != b.Snapshots ||
-		!sameClassStats(a.Base, b.Base) || len(a.Green) != len(b.Green) {
+// samePools compares two multi-pool replays, each a Result and its
+// per-pool stats, bit for bit.
+func samePools(a Result, as []ClassStats, b Result, bs []ClassStats) bool {
+	if !sameResult(a, b) || len(as) != len(bs) {
 		return false
 	}
-	for i := range a.Green {
-		if !sameClassStats(a.Green[i], b.Green[i]) {
+	for i := range as {
+		if !sameClassStats(as[i], bs[i]) {
 			return false
 		}
 	}

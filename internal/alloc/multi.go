@@ -2,15 +2,16 @@ package alloc
 
 // Multi-pool allocation: §II's design goal D2 notes that every
 // additional SKU type in a fleet has side effects, but a second
-// GreenSKU could serve applications the first cannot. SimulateMulti
-// generalises Simulate to a baseline pool plus any number of GreenSKU
-// pools, with per-VM, per-pool directives. It is a front door to the
-// same Sim every other replay steps (colsim.go), built over all the
-// pools: the same placement rules, the same full-node rule, the same
-// audit checks.
+// GreenSKU could serve applications the first cannot. A multi-pool
+// cluster is a baseline pool plus any number of GreenSKU pools, each
+// directed by its own Decider. It runs on the same Sim every other
+// replay steps (colsim.go), built over all the pools: the same
+// placement rules, the same full-node rule, the same audit checks.
 
 import (
 	"context"
+	"fmt"
+	"slices"
 
 	"github.com/greensku/gsf/internal/trace"
 )
@@ -21,72 +22,50 @@ type Pool struct {
 	N     int
 }
 
-// MultiDecision directs one VM across the green pools: Scales[i] > 0
-// permits pool i (in cluster order) with that scaling factor; 0 forbids
-// it. Pools are tried in order, so the caller encodes preference by
-// ordering pools from most to least carbon-efficient for the workload.
-type MultiDecision struct {
-	Scales []float64
-}
-
-// MultiDecider maps a VM to its per-pool directive.
-type MultiDecider func(trace.VM) MultiDecision
-
-// MultiConfig describes the multi-pool cluster.
+// MultiConfig describes the multi-pool cluster. Green pools are tried
+// in order, so the caller encodes preference by ordering them from
+// most to least carbon-efficient for the workload.
 type MultiConfig struct {
 	Base           Pool
 	Greens         []Pool
 	Policy         Policy
 	PreferNonEmpty bool
-	// SnapshotEvery controls utilisation snapshots (trace hours);
-	// zero defaults to 12h.
-	SnapshotEvery float64
 }
 
-// MultiResult holds per-pool statistics.
-type MultiResult struct {
-	Placed    int
-	Rejected  int
-	Base      ClassStats
-	Green     []ClassStats // aligned with the green pools
-	Snapshots int
+// MultiHostsContext reports whether the multi-pool cluster hosts the
+// trace, as HostsContext does for one green pool. decide holds one
+// Decider per green pool, in mc.Greens order; a nil one offers its
+// pool nothing. Full-node VMs pin to the baseline; other VMs try each
+// green pool whose Decider adopts them, in order and scaled, then fall
+// back to the baseline. The replay stops at the first rejection unless
+// the process-default checker (audit.SetDefault) audits it.
+func MultiHostsContext(ctx context.Context, tr trace.Trace, mc MultiConfig, decide []Decider) (bool, error) {
+	sim, err := newMultiSim(tr, mc, decide)
+	if err != nil {
+		return false, err
+	}
+	return sim.probeFrom(ctx, tr, 0)
 }
 
-// SimulateMulti replays a trace against a baseline pool plus green
-// pools. Full-node VMs pin to the baseline; other VMs try the green
-// pools in order (scaled per the directive) and fall back to the
-// baseline.
-func SimulateMulti(tr trace.Trace, mc MultiConfig, decide MultiDecider) (MultiResult, error) {
-	return SimulateMultiContext(context.Background(), tr, mc, decide)
-}
-
-// SimulateMultiContext is SimulateMulti with cancellation, polled every
-// 1024 VMs like SimulateContext. The replay is audited through the
-// process-default checker (audit.SetDefault).
-func SimulateMultiContext(ctx context.Context, tr trace.Trace, mc MultiConfig, decide MultiDecider) (MultiResult, error) {
+// newMultiSim validates the trace and the multi-pool cluster and
+// returns an empty simulator over it.
+func newMultiSim(tr trace.Trace, mc MultiConfig, decide []Decider) (*Sim, error) {
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	if len(decide) != len(mc.Greens) {
+		return nil, fmt.Errorf("alloc: %d deciders for %d green pools", len(decide), len(mc.Greens))
+	}
 	pools := append([]Pool{mc.Base}, mc.Greens...)
 	if err := checkPools(pools); err != nil {
-		return MultiResult{}, err
+		return nil, err
 	}
-	cfg := Config{Base: mc.Base.Class, NBase: mc.Base.N, Policy: mc.Policy,
-		PreferNonEmpty: mc.PreferNonEmpty, SnapshotEvery: mc.SnapshotEvery}
-	// A nil decide leaves the AdoptNone Decider in charge, which
-	// offers no green pool.
-	sim := newSim(tr.Name, cfg, pools, AdoptNone)
-	sim.multi = decide
-	if err := sim.stepAll(ctx, trace.NewSliceSource(tr)); err != nil {
-		return MultiResult{}, err
+	decide = slices.Clone(decide)
+	for g, d := range decide {
+		if d == nil {
+			decide[g] = AdoptNone
+		}
 	}
-	sim.finish(tr.Horizon)
-	res := MultiResult{
-		Placed:    sim.res.Placed,
-		Rejected:  sim.res.Rejected,
-		Base:      sim.aggs[0].stats(),
-		Green:     make([]ClassStats, len(mc.Greens)),
-		Snapshots: sim.res.Snapshots,
-	}
-	for i := range res.Green {
-		res.Green[i] = sim.aggs[i+1].stats()
-	}
-	return res, nil
+	cfg := Config{Base: mc.Base.Class, NBase: mc.Base.N, Policy: mc.Policy, PreferNonEmpty: mc.PreferNonEmpty}
+	return newSim(tr.Name, cfg, pools, decide), nil
 }

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,19 +15,23 @@ func twoGreens() []Pool {
 	}
 }
 
+// twoGreenCluster is one baseline server and twoGreens' pools.
+func twoGreenCluster() MultiConfig {
+	return MultiConfig{Base: Pool{Class: baseClass(), N: 1}, Greens: twoGreens(), Policy: BestFit, PreferNonEmpty: true}
+}
+
 func TestMultiPrefersEarlierPool(t *testing.T) {
 	tr := trace.Trace{Name: "m", Horizon: 10, VMs: []trace.VM{
 		{ID: 0, Arrive: 1, Depart: 9, Cores: 8, Memory: 32, Gen: 3, MaxMemFrac: 0.5},
 	}}
-	both := func(trace.VM) MultiDecision { return MultiDecision{Scales: []float64{1, 1}} }
-	res, err := SimulateMulti(tr, MultiConfig{Base: Pool{Class: baseClass(), N: 1}, Greens: twoGreens(), Policy: BestFit, PreferNonEmpty: true, SnapshotEvery: 1}, both)
+	_, stats, err := SimulatePools(tr, twoGreenCluster(), []Decider{AdoptAll, AdoptAll}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsNaN(res.Green[0].CorePacking) {
+	if math.IsNaN(stats[1].CorePacking) {
 		t.Fatal("first pool should host the VM")
 	}
-	if !math.IsNaN(res.Green[1].CorePacking) {
+	if !math.IsNaN(stats[2].CorePacking) {
 		t.Fatal("second pool should stay empty when the first has room")
 	}
 }
@@ -36,17 +41,17 @@ func TestMultiFallsThroughPools(t *testing.T) {
 	tr := trace.Trace{Name: "m", Horizon: 10, VMs: []trace.VM{
 		{ID: 0, Arrive: 1, Depart: 9, Cores: 8, Memory: 32, Gen: 3, MaxMemFrac: 0.5},
 	}}
-	secondOnly := func(trace.VM) MultiDecision { return MultiDecision{Scales: []float64{0, 1.25}} }
-	res, err := SimulateMulti(tr, MultiConfig{Base: Pool{Class: baseClass(), N: 1}, Greens: twoGreens(), Policy: BestFit, PreferNonEmpty: true, SnapshotEvery: 1}, secondOnly)
+	scaled := func(trace.VM) Decision { return Decision{Adopt: true, Scale: 1.25} }
+	_, stats, err := SimulatePools(tr, twoGreenCluster(), []Decider{AdoptNone, scaled}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(res.Green[0].CorePacking) {
+	if !math.IsNaN(stats[1].CorePacking) {
 		t.Fatal("forbidden pool used")
 	}
 	// Scaled 1.25x: 10 cores of 128.
-	if math.Abs(res.Green[1].CorePacking-10.0/128) > 0.01 {
-		t.Fatalf("second pool packing = %v, want 10/128", res.Green[1].CorePacking)
+	if math.Abs(stats[2].CorePacking-10.0/128) > 0.01 {
+		t.Fatalf("second pool packing = %v, want 10/128", stats[2].CorePacking)
 	}
 }
 
@@ -54,12 +59,11 @@ func TestMultiFallsBackToBaseline(t *testing.T) {
 	tr := trace.Trace{Name: "m", Horizon: 10, VMs: []trace.VM{
 		{ID: 0, Arrive: 1, Depart: 9, Cores: 8, Memory: 32, Gen: 3, MaxMemFrac: 0.5},
 	}}
-	none := func(trace.VM) MultiDecision { return MultiDecision{} }
-	res, err := SimulateMulti(tr, MultiConfig{Base: Pool{Class: baseClass(), N: 1}, Greens: twoGreens(), Policy: BestFit, PreferNonEmpty: true, SnapshotEvery: 1}, none)
+	res, stats, err := SimulatePools(tr, twoGreenCluster(), []Decider{nil, AdoptNone}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rejected != 0 || math.IsNaN(res.Base.CorePacking) {
+	if res.Rejected != 0 || math.IsNaN(stats[0].CorePacking) {
 		t.Fatal("VM should land on the baseline")
 	}
 }
@@ -68,18 +72,17 @@ func TestMultiFullNodePinsToBaseline(t *testing.T) {
 	tr := trace.Trace{Name: "m", Horizon: 10, VMs: []trace.VM{
 		{ID: 0, Arrive: 1, Depart: 9, Cores: 80, Memory: 768, Gen: 3, FullNode: true, MaxMemFrac: 0.5},
 	}}
-	both := func(trace.VM) MultiDecision { return MultiDecision{Scales: []float64{1, 1}} }
-	res, err := SimulateMulti(tr, MultiConfig{Base: Pool{Class: baseClass(), N: 1}, Greens: twoGreens(), Policy: BestFit, PreferNonEmpty: true, SnapshotEvery: 1}, both)
+	_, stats, err := SimulatePools(tr, twoGreenCluster(), []Decider{AdoptAll, AdoptAll}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.Base.CorePacking-1) > 1e-9 {
-		t.Fatalf("full-node VM not on baseline: %v", res.Base.CorePacking)
+	if math.Abs(stats[0].CorePacking-1) > 1e-9 {
+		t.Fatalf("full-node VM not on baseline: %v", stats[0].CorePacking)
 	}
 }
 
 func TestMultiMatchesSingleWhenOnePool(t *testing.T) {
-	// With one green pool and the equivalent directive, SimulateMulti
+	// With one green pool and the same Decider, a multi-pool replay
 	// must agree with Simulate bit for bit on every production trace
 	// and policy. The decider adopts two VMs in three, and the traces'
 	// full-node VMs meet drained baseline servers whose free memory
@@ -88,14 +91,7 @@ func TestMultiMatchesSingleWhenOnePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adopt := func(vm trace.VM) bool { return vm.ID%3 != 0 }
-	single := func(vm trace.VM) Decision { return Decision{Adopt: adopt(vm), Scale: 1.2} }
-	multi := func(vm trace.VM) MultiDecision {
-		if adopt(vm) {
-			return MultiDecision{Scales: []float64{1.2}}
-		}
-		return MultiDecision{}
-	}
+	single := func(vm trace.VM) Decision { return Decision{Adopt: vm.ID%3 != 0, Scale: 1.2} }
 	for _, pol := range []Policy{BestFit, FirstFit, WorstFit} {
 		for _, tr := range traces {
 			cfg := Config{
@@ -107,19 +103,17 @@ func TestMultiMatchesSingleWhenOnePool(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := SimulateMulti(tr, MultiConfig{
+			got, stats, err := SimulatePools(tr, MultiConfig{
 				Base:           Pool{Class: cfg.Base, N: cfg.NBase},
 				Greens:         []Pool{{Class: cfg.Green, N: cfg.NGreen}},
 				Policy:         pol,
 				PreferNonEmpty: cfg.PreferNonEmpty,
-			}, multi)
+			}, []Decider{single}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Placed != want.Placed || got.Rejected != want.Rejected || got.Snapshots != want.Snapshots ||
-				!sameClassStats(got.Base, want.Base) || len(got.Green) != 1 || !sameClassStats(got.Green[0], want.Green) {
-				t.Errorf("%s (%v): multi %d/%d %+v %+v, single %d/%d %+v %+v", tr.Name, pol,
-					got.Placed, got.Rejected, got.Base, got.Green, want.Placed, want.Rejected, want.Base, want.Green)
+			if !samePools(got, stats, want, []ClassStats{want.Base, want.Green}) {
+				t.Errorf("%s (%v): multi %+v %+v, single %+v", tr.Name, pol, got, stats, want)
 			}
 		}
 	}
@@ -127,20 +121,29 @@ func TestMultiMatchesSingleWhenOnePool(t *testing.T) {
 
 func TestMultiValidation(t *testing.T) {
 	tr := smallTrace()
-	if _, err := SimulateMulti(tr, MultiConfig{}, nil); err == nil {
+	hosts := func(mc MultiConfig) error {
+		_, err := MultiHostsContext(context.Background(), tr, mc, make([]Decider, len(mc.Greens)))
+		return err
+	}
+	if hosts(MultiConfig{}) == nil {
 		t.Error("accepted an empty cluster")
 	}
 	bad := []Pool{{Class: ServerClass{Name: "x"}, N: 3}}
-	if _, err := SimulateMulti(tr, MultiConfig{Base: Pool{Class: baseClass(), N: 1}, Greens: bad}, nil); err == nil {
+	if hosts(MultiConfig{Base: Pool{Class: baseClass(), N: 1}, Greens: bad}) == nil {
 		t.Error("accepted a zero-capacity green pool")
 	}
 	// Negative pool sizes are errors, not panics.
 	green := []Pool{{Class: greenClass(), N: 5}}
-	if _, err := SimulateMulti(tr, MultiConfig{Base: Pool{Class: baseClass(), N: -1}, Greens: green}, nil); err == nil {
+	if hosts(MultiConfig{Base: Pool{Class: baseClass(), N: -1}, Greens: green}) == nil {
 		t.Error("accepted a negative baseline pool")
 	}
 	negGreen := []Pool{{Class: greenClass(), N: 5}, {Class: greenClass(), N: -3}}
-	if _, err := SimulateMulti(tr, MultiConfig{Base: Pool{Class: baseClass(), N: 4}, Greens: negGreen}, nil); err == nil {
+	if hosts(MultiConfig{Base: Pool{Class: baseClass(), N: 4}, Greens: negGreen}) == nil {
 		t.Error("accepted a negative green pool")
+	}
+	// Every green pool takes one Decider.
+	mc := MultiConfig{Base: Pool{Class: baseClass(), N: 4}, Greens: negGreen[:1]}
+	if _, err := MultiHostsContext(context.Background(), tr, mc, nil); err == nil {
+		t.Error("accepted a green pool without a Decider")
 	}
 }

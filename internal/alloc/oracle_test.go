@@ -182,16 +182,15 @@ func TestDifferentialMultiPool(t *testing.T) {
 	if testing.Short() {
 		traces = traces[:4]
 	}
-	decide := func(vm trace.VM) alloc.MultiDecision {
-		switch vm.ID % 4 {
-		case 0:
-			return alloc.MultiDecision{Scales: []float64{1.2, 0, 1}}
-		case 1:
-			return alloc.MultiDecision{Scales: []float64{0, 1, 0}}
-		case 2:
-			return alloc.MultiDecision{Scales: []float64{1, 1.5, 1.1}}
+	// scales[vm.ID%4][g] is green pool g's factor for the VM; 0 does
+	// not offer it the pool.
+	scales := [4][3]float64{{1.2, 0, 1}, {0, 1, 0}, {1, 1.5, 1.1}}
+	decide := make([]alloc.Decider, 3)
+	for g := range decide {
+		decide[g] = func(vm trace.VM) alloc.Decision {
+			f := scales[vm.ID%4][g]
+			return alloc.Decision{Adopt: f > 0, Scale: f}
 		}
-		return alloc.MultiDecision{}
 	}
 	totalPlaced, totalRejected := 0, 0
 	for _, pol := range []alloc.Policy{alloc.BestFit, alloc.FirstFit, alloc.WorstFit} {
@@ -206,16 +205,17 @@ func TestDifferentialMultiPool(t *testing.T) {
 			PreferNonEmpty: pol != alloc.FirstFit,
 		}
 		for _, tr := range traces {
-			want, err := oracle.SimulateMulti(tr, mc, decide)
+			want, wantStats, err := oracle.SimulatePools(tr, mc, decide)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := alloc.SimulateMulti(tr, mc, decide)
+			got, gotStats, err := alloc.SimulatePools(tr, mc, decide, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !alloc.SameMulti(got, want) {
-				t.Fatalf("%s (%v): columnar multi result %+v != oracle %+v", tr.Name, pol, got, want)
+			if !alloc.SamePools(got, gotStats, want, wantStats) {
+				t.Fatalf("%s (%v): columnar multi result %+v %+v != oracle %+v %+v",
+					tr.Name, pol, got, gotStats, want, wantStats)
 			}
 			totalPlaced += got.Placed
 			totalRejected += got.Rejected

@@ -273,7 +273,8 @@ func (s *Sim) probeFrom(ctx context.Context, tr trace.Trace, i int) (bool, error
 			return false, nil
 		}
 	}
-	return s.Finish(tr.Horizon).Rejected == 0, nil
+	s.finish(tr.Horizon)
+	return s.res.Rejected == 0, nil
 }
 
 // resume runs a probe from the checkpoint s, left untouched, on a

@@ -372,10 +372,10 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 	}
 
 	r := &snapReader{b: payload}
-	s := &Sim{decide: decide, chk: audit.Resolve(chk)}
-	if s.decide == nil {
-		s.decide = AdoptNone
+	if decide == nil {
+		decide = AdoptNone
 	}
+	s := &Sim{decide: []Decider{decide}, chk: audit.Resolve(chk)}
 	if s.name, err = r.str("name"); err != nil {
 		return nil, err
 	}

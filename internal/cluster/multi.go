@@ -18,7 +18,8 @@ type MultiSizer struct {
 	Base   alloc.ServerClass
 	Greens []alloc.ServerClass
 	Policy alloc.Policy
-	Decide alloc.MultiDecider
+	// Decide directs the green pools, Decide[i] pool Greens[i].
+	Decide []alloc.Decider
 	// MaxServers caps each pool's search.
 	MaxServers int
 }
@@ -40,23 +41,20 @@ func (s *MultiSizer) hosts(ctx context.Context, tr trace.Trace, nBase int, nGree
 	if total == 0 {
 		return len(tr.VMs) == 0, nil
 	}
-	res, err := alloc.SimulateMultiContext(ctx, tr, alloc.MultiConfig{
+	return alloc.MultiHostsContext(ctx, tr, alloc.MultiConfig{
 		Base:           alloc.Pool{Class: s.Base, N: nBase},
 		Greens:         pools,
 		Policy:         s.Policy,
 		PreferNonEmpty: true,
 	}, s.Decide)
-	if err != nil {
-		return false, err
-	}
-	return res.Rejected == 0, nil
 }
 
 // Size right-sizes the multi-SKU cluster: minimal baseline count with
 // all green pools abundant, then each green pool minimised in turn
 // (later pools abundant while earlier ones are fixed). Pool order is
-// the preference order the decider uses, so earlier pools absorb the
-// workload they are preferred for.
+// the order a VM tries the pools in, so earlier pools absorb the
+// workload their Deciders adopt. Every probe stops at its first
+// rejection, as Sizer's do.
 func (s *MultiSizer) Size(tr trace.Trace) (MultiMix, error) {
 	return s.SizeContext(context.Background(), tr)
 }
@@ -123,13 +121,4 @@ func MultiSavings(m MultiMix, base SavingsInput, greens []SavingsInput) float64 
 		return 0
 	}
 	return 1 - float64(mixed)/float64(all)
-}
-
-// TotalGreens sums the green pools.
-func (m MultiMix) TotalGreens() int {
-	n := 0
-	for _, g := range m.NGreens {
-		n += g
-	}
-	return n
 }

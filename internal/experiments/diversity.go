@@ -81,44 +81,29 @@ func DiversityContext(ctx context.Context) (DiversityResult, error) {
 		return out, err
 	}
 
-	// (b) two-SKU cluster: route each VM to the first (greenest) pool
-	// whose adoption table accepts it.
-	multiDecide := func(vm trace.VM) alloc.MultiDecision {
-		scales := make([]float64, len(tables))
-		for i, table := range tables {
-			dec := table.Decider()(vm)
-			if dec.Adopt {
-				scales[i] = dec.Scale
-			}
-		}
-		return alloc.MultiDecision{Scales: scales}
-	}
-	multi := &cluster.MultiSizer{Base: baseClass, Greens: greenClasses, Policy: alloc.BestFit, Decide: multiDecide}
+	// (b) two-SKU cluster: each VM tries the pools in order, the
+	// greenest first, and takes the first whose adoption table accepts
+	// it.
+	multi := &cluster.MultiSizer{Base: baseClass, Greens: greenClasses, Policy: alloc.BestFit,
+		Decide: []alloc.Decider{tables[0].Decider(), tables[1].Decider()}}
 	out.MultiMix, err = multi.SizeContext(ctx, tr)
 	if err != nil {
 		return out, err
 	}
 
-	perCoreOf := func(sku hw.SKU) (carbon.PerCore, error) { return m.PerCore(sku, d.DefaultCI) }
-	basePC, err := perCoreOf(base)
-	if err != nil {
-		return out, err
+	var pcs [3]carbon.PerCore
+	for i, sku := range []hw.SKU{base, full, eff} {
+		if pcs[i], err = m.PerCore(sku, d.DefaultCI); err != nil {
+			return out, err
+		}
 	}
-	fullPC, err := perCoreOf(full)
-	if err != nil {
-		return out, err
+	greenIns := []cluster.SavingsInput{{Class: greenClasses[0], PerCore: pcs[1]}, {Class: greenClasses[1], PerCore: pcs[2]}}
+	savings := func(mix cluster.MultiMix) float64 {
+		return cluster.MultiSavings(mix, cluster.SavingsInput{Class: baseClass, PerCore: pcs[0]}, greenIns)
 	}
-	effPC, err := perCoreOf(eff)
-	if err != nil {
-		return out, err
-	}
-	basePCIn := cluster.SavingsInput{Class: baseClass, PerCore: basePC}
-	out.SingleSavings = cluster.Savings(out.SingleMix, basePCIn,
-		cluster.SavingsInput{Class: greenClasses[0], PerCore: fullPC})
-	out.MultiSavings = cluster.MultiSavings(out.MultiMix, basePCIn, []cluster.SavingsInput{
-		{Class: greenClasses[0], PerCore: fullPC},
-		{Class: greenClasses[1], PerCore: effPC},
-	})
+	out.SingleSavings = savings(cluster.MultiMix{BaselineOnly: out.SingleMix.BaselineOnly,
+		NBase: out.SingleMix.NBase, NGreens: []int{out.SingleMix.NGreen, 0}})
+	out.MultiSavings = savings(out.MultiMix)
 	out.ExtraSavings = out.MultiSavings - out.SingleSavings
 	return out, nil
 }

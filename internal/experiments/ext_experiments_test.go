@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"github.com/greensku/gsf/internal/design"
+	"github.com/greensku/gsf/internal/report"
 )
 
 func TestMemTierExperiment(t *testing.T) {
@@ -160,6 +162,21 @@ func TestDiversityExperiment(t *testing.T) {
 	// cost much: the study's point is that diversity rarely pays.
 	if r.ExtraSavings < -0.05 || r.ExtraSavings > 0.10 {
 		t.Fatalf("extra savings from a second SKU = %v, want small", r.ExtraSavings)
+	}
+	// EXPERIMENTS.md's diversity row: 13 baseline + 27 green servers
+	// at 15.8%, against 13 + (26 + 1) at 15.4%, so the second SKU type
+	// costs 0.40 pp.
+	if m := r.SingleMix; m.NBase != 13 || m.NGreen != 27 {
+		t.Errorf("single-SKU cluster %d + %d, want 13 + 27", m.NBase, m.NGreen)
+	}
+	if m := r.MultiMix; m.NBase != 13 || len(m.NGreens) != 2 || m.NGreens[0] != 26 || m.NGreens[1] != 1 {
+		t.Errorf("two-SKU cluster %d + %v, want 13 + [26 1]", m.NBase, m.NGreens)
+	}
+	if got := report.Pct(r.SingleSavings) + " / " + report.Pct(r.MultiSavings); got != "15.8% / 15.4%" {
+		t.Errorf("savings %s, want 15.8%% / 15.4%%", got)
+	}
+	if got := fmt.Sprintf("%+.2f", r.ExtraSavings*100); got != "-0.40" {
+		t.Errorf("second SKU type adds %s pp, want -0.40", got)
 	}
 	var b strings.Builder
 	if err := r.Render(&b); err != nil {

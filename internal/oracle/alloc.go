@@ -169,8 +169,8 @@ func (a *classAgg) stats() alloc.ClassStats {
 	return cs
 }
 
-// cluster is the replay state shared by the single- and multi-pool
-// simulators: pools[0] is the baseline pool.
+// cluster is the replay state of the one loop: pools[0] is the
+// baseline pool.
 type cluster struct {
 	pools               [][]*server
 	aggs                []classAgg
@@ -230,48 +230,83 @@ func (c *cluster) finish(horizon float64) {
 }
 
 // Simulate is the reference for alloc.Simulate: the same placement
-// rules and Result, computed by linear scan. observe may be nil.
+// rules and Result, computed by linear scan. It is SimulatePools's
+// one-green case. observe may be nil.
 func Simulate(tr trace.Trace, cfg alloc.Config, decide alloc.Decider, observe Observer) (alloc.Result, error) {
+	mc := alloc.MultiConfig{
+		Base:   alloc.Pool{Class: cfg.Base, N: cfg.NBase},
+		Greens: []alloc.Pool{{Class: cfg.Green, N: cfg.NGreen}},
+		Policy: cfg.Policy, PreferNonEmpty: cfg.PreferNonEmpty,
+	}
+	res, _, err := simulate(tr, cfg.SnapshotEvery, mc, []alloc.Decider{decide}, observe)
+	return res, err
+}
+
+// SimulatePools is the reference for a multi-pool replay: a baseline
+// pool plus mc.Greens, green pool g directed by decide[g] (nil offers
+// it nothing). It returns the Result, with the first green pool's
+// stats as Green, and every pool's stats, the baseline first.
+func SimulatePools(tr trace.Trace, mc alloc.MultiConfig, decide []alloc.Decider) (alloc.Result, []alloc.ClassStats, error) {
+	return simulate(tr, 0, mc, decide, nil)
+}
+
+// simulate is the one replay loop. Full-node VMs take the first empty
+// baseline server that fits a whole node; other VMs try each green
+// pool whose Decider adopts them, in order and scaled, then the
+// baseline pool unscaled.
+func simulate(tr trace.Trace, snapEvery float64, mc alloc.MultiConfig, decide []alloc.Decider, observe Observer) (alloc.Result, []alloc.ClassStats, error) {
 	if err := tr.Validate(); err != nil {
-		return alloc.Result{}, err
+		return alloc.Result{}, nil, err
 	}
-	if cfg.NBase < 0 || cfg.NGreen < 0 || cfg.NBase+cfg.NGreen == 0 {
-		return alloc.Result{}, fmt.Errorf("oracle: cluster needs at least one server")
+	if len(decide) != len(mc.Greens) {
+		return alloc.Result{}, nil, fmt.Errorf("oracle: %d deciders for %d green pools", len(decide), len(mc.Greens))
 	}
-	if decide == nil {
-		decide = alloc.AdoptNone
+	var pools [][]*server
+	total := 0
+	for _, p := range append([]alloc.Pool{mc.Base}, mc.Greens...) {
+		if p.N < 0 {
+			return alloc.Result{}, nil, fmt.Errorf("oracle: negative pool size")
+		}
+		pools = append(pools, newPool(p.Class, p.N))
+		total += p.N
 	}
-	c := newCluster(cfg.SnapshotEvery, newPool(cfg.Base, cfg.NBase), newPool(cfg.Green, cfg.NGreen))
-	base, green := c.pools[0], c.pools[1]
+	if total == 0 {
+		return alloc.Result{}, nil, fmt.Errorf("oracle: cluster needs at least one server")
+	}
+	c := newCluster(snapEvery, pools...)
 	var res alloc.Result
 	for _, vm := range tr.VMs {
 		c.advance(vm.Arrive)
-		d := decide(vm)
-		if d.Scale < 1 {
-			d.Scale = 1
-		}
 		var srv *server
 		var cores, mem float64
-		onGreen := false
+		pool := 0
 		if vm.FullNode {
-			// Full-node VMs take the first empty baseline server that
-			// fits a whole baseline node.
-			cores, mem = float64(cfg.Base.Cores), float64(cfg.Base.Memory)
-			for _, s := range base {
-				if s.vms == 0 && s.fits(cores, mem) {
+			for _, s := range pools[0] {
+				if s.vms == 0 && s.fits(float64(s.class.Cores), float64(s.class.Memory)) {
 					srv = s
+					cores, mem = float64(s.class.Cores), float64(s.class.Memory)
 					break
 				}
 			}
 		} else {
-			if d.Adopt && cfg.NGreen > 0 {
-				cores, mem = float64(vm.Cores)*d.Scale, float64(vm.Memory)*d.Scale
-				srv = pick(green, cores, mem, cfg.Policy, cfg.PreferNonEmpty)
-				onGreen = srv != nil
+			for g, d := range decide {
+				if d == nil {
+					continue
+				}
+				dec := d(vm)
+				if !dec.Adopt {
+					continue
+				}
+				scale := max(dec.Scale, 1)
+				cores, mem = float64(vm.Cores)*scale, float64(vm.Memory)*scale
+				if srv = pick(pools[g+1], cores, mem, mc.Policy, mc.PreferNonEmpty); srv != nil {
+					pool = g + 1
+					break
+				}
 			}
 			if srv == nil {
 				cores, mem = float64(vm.Cores), float64(vm.Memory)
-				srv = pick(base, cores, mem, cfg.Policy, cfg.PreferNonEmpty)
+				srv = pick(pools[0], cores, mem, mc.Policy, mc.PreferNonEmpty)
 			}
 		}
 		if srv == nil {
@@ -283,7 +318,7 @@ func Simulate(tr trace.Trace, cfg alloc.Config, decide alloc.Decider, observe Ob
 		}
 		c.place(srv, cores, mem, vm)
 		if observe != nil {
-			observe(vm.ID, onGreen, srv.id)
+			observe(vm.ID, pool != 0, srv.id)
 		}
 		res.Placed++
 		if vm.Deferrable {
@@ -292,77 +327,13 @@ func Simulate(tr trace.Trace, cfg alloc.Config, decide alloc.Decider, observe Ob
 	}
 	c.finish(tr.Horizon)
 	res.Snapshots = c.snapshots
-	res.Base, res.Green = c.aggs[0].stats(), c.aggs[1].stats()
-	return res, nil
-}
-
-// SimulateMulti is the reference for alloc.SimulateMulti: full-node
-// VMs take the first empty baseline server that fits a whole node, as
-// in Simulate; other VMs try the green pools in order, scaled per the
-// directive, then the baseline pool unscaled.
-func SimulateMulti(tr trace.Trace, mc alloc.MultiConfig, decide alloc.MultiDecider) (alloc.MultiResult, error) {
-	if err := tr.Validate(); err != nil {
-		return alloc.MultiResult{}, err
+	stats := make([]alloc.ClassStats, len(pools))
+	for i := range pools {
+		stats[i] = c.aggs[i].stats()
 	}
-	pools := [][]*server{nil}
-	total := mc.Base.N
-	for _, g := range mc.Greens {
-		if g.N < 0 {
-			return alloc.MultiResult{}, fmt.Errorf("oracle: negative pool size")
-		}
-		pools = append(pools, newPool(g.Class, g.N))
-		total += g.N
+	res.Base = stats[0]
+	if len(stats) > 1 {
+		res.Green = stats[1]
 	}
-	if mc.Base.N < 0 || total == 0 {
-		return alloc.MultiResult{}, fmt.Errorf("oracle: cluster needs at least one server")
-	}
-	pools[0] = newPool(mc.Base.Class, mc.Base.N)
-	if decide == nil {
-		decide = func(trace.VM) alloc.MultiDecision { return alloc.MultiDecision{} }
-	}
-	c := newCluster(mc.SnapshotEvery, pools...)
-	var res alloc.MultiResult
-	for _, vm := range tr.VMs {
-		c.advance(vm.Arrive)
-		var srv *server
-		var cores, mem float64
-		if vm.FullNode {
-			for _, s := range pools[0] {
-				if s.vms == 0 && s.fits(float64(s.class.Cores), float64(s.class.Memory)) {
-					srv = s
-					cores, mem = float64(s.class.Cores), float64(s.class.Memory)
-					break
-				}
-			}
-		} else {
-			d := decide(vm)
-			for g := range mc.Greens {
-				if g >= len(d.Scales) || d.Scales[g] <= 0 {
-					continue
-				}
-				scale := max(d.Scales[g], 1)
-				cores, mem = float64(vm.Cores)*scale, float64(vm.Memory)*scale
-				if srv = pick(pools[g+1], cores, mem, mc.Policy, mc.PreferNonEmpty); srv != nil {
-					break
-				}
-			}
-			if srv == nil {
-				cores, mem = float64(vm.Cores), float64(vm.Memory)
-				srv = pick(pools[0], cores, mem, mc.Policy, mc.PreferNonEmpty)
-			}
-		}
-		if srv == nil {
-			res.Rejected++
-			continue
-		}
-		c.place(srv, cores, mem, vm)
-		res.Placed++
-	}
-	c.finish(tr.Horizon)
-	res.Snapshots = c.snapshots
-	res.Base = c.aggs[0].stats()
-	for i := range mc.Greens {
-		res.Green = append(res.Green, c.aggs[i+1].stats())
-	}
-	return res, nil
+	return res, stats, nil
 }
